@@ -60,8 +60,13 @@ class ACMSpec:
             raise ACMSpecError("Lambda basis is empty")
         if 0 not in self.lambda_degrees:
             raise ACMSpecError("Lambda basis must contain the unit (a degree-0 element)")
+        if min(self.lambda_degrees) < 0:
+            raise ACMSpecError(f"Lambda degrees must be >= 0, got {self.lambda_degrees}")
         table = dict(self.table)
         size = len(self.lambda_degrees)
+        for i, j in table:
+            if not (0 <= i < size and 0 <= j < size):
+                raise ACMSpecError(f"table entry ({i}, {j}) is outside the Lambda basis")
         for i in range(size):
             for j in range(i, size):
                 if (i, j) not in table and (j, i) not in table:
@@ -314,7 +319,35 @@ def spec_to_json(spec: ACMSpec) -> dict:
     }
 
 
+_JSON_TYPES = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+
+
+def _check(value, kind: type, what: str):
+    """value, refused with ACMSpecError unless it has JSON type `kind`."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ACMSpecError(f"{what} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
+def _field(obj, key: str, kind: type, where: str):
+    """obj[key], refused with ACMSpecError unless present and of JSON type `kind`."""
+    _check(obj, dict, where)
+    if key not in obj:
+        raise ACMSpecError(f"{where} is missing required field '{key}'")
+    return _check(obj[key], kind, f"field '{key}' of {where}")
+
+
+def _exponents(obj, where: str) -> tuple[int, ...]:
+    return tuple(_check(e, int, f"x_exponents of {where}")
+                 for e in _field(obj, "x_exponents", list, where))
+
+
 def spec_from_json(data: dict) -> ACMSpec:
+    """Inverse of spec_to_json; also accepts the monic relation form.
+
+    Any structural problem (a missing field, a wrong JSON type) raises
+    ACMSpecError.
+    """
     if not isinstance(data, dict):
         raise ACMSpecError("spec document must be a JSON object")
     if "schema_version" not in data:
@@ -323,47 +356,50 @@ def spec_from_json(data: dict) -> ACMSpec:
         raise ACMSpecError(
             f"unsupported schema_version {data['schema_version']} (supported: {SCHEMA_VERSION})"
         )
-    for field in ("name", "n", "lambda"):
-        if field not in data:
-            raise ACMSpecError(f"spec document is missing required field '{field}'")
-    n = data["n"]
-    lam_degrees = tuple(entry["degree"] for entry in data["lambda"])
+    name = _field(data, "name", str, "spec document")
+    n = _field(data, "n", int, "spec document")
+    lam_degrees = tuple(_field(entry, "degree", int, "a lambda entry")
+                        for entry in _field(data, "lambda", list, "spec document"))
     if "relation" in data and "table" in data:
         raise ACMSpecError("give either a relation or a table, not both")
     if "relation" in data:
-        rel = data["relation"]
-        e = rel.get("degree")
+        rel = _field(data, "relation", dict, "spec document")
+        e = _field(rel, "degree", int, "the relation")
         if e != len(lam_degrees) or lam_degrees != tuple(range(e)):
             raise ACMSpecError("a relation-form spec needs Lambda = 1, t, ..., t^{e-1}")
         if not rel.get("monic", True):
             raise ACMSpecError("hypersurface relation must be monic in t")
         coeffs = [
-            [(t["coeff"], tuple(t["x_exponents"])) for t in lst]
-            for lst in rel["coefficients"]
+            [(_field(t, "coeff", int, "a relation term"), _exponents(t, "a relation term"))
+             for t in _check(lst, list, "a relation coefficient")]
+            for lst in _field(rel, "coefficients", list, "the relation")
         ]
-        return hypersurface_spec(e, n + 1, relation=coeffs, name=data["name"])
+        return hypersurface_spec(e, n + 1, relation=coeffs, name=name)
     if "table" not in data:
         raise ACMSpecError("spec document needs a 'table' or a 'relation'")
     table = tuple(
         (
-            (entry["i"], entry["j"]),
+            (_field(entry, "i", int, "a table entry"), _field(entry, "j", int, "a table entry")),
             tuple(
-                (t["coeff"], tuple(t["x_exponents"]), t["lambda_index"])
-                for t in entry["terms"]
+                (_field(t, "coeff", int, "a table term"), _exponents(t, "a table term"),
+                 _field(t, "lambda_index", int, "a table term"))
+                for t in _field(entry, "terms", list, "a table entry")
             ),
         )
-        for entry in data["table"]
+        for entry in _field(data, "table", list, "spec document")
     )
-    return ACMSpec(name=data["name"], n=n, lambda_degrees=lam_degrees, table=table)
+    return ACMSpec(name=name, n=n, lambda_degrees=lam_degrees, table=table)
 
 
 def load_spec(path: str) -> ACMSpec:
     """Read an ACM spec from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ACMSpecError(f"{path}: not valid JSON ({exc})") from exc
+    except OSError as exc:
+        raise ACMSpecError(f"{path}: cannot read the spec file ({exc.strerror})") from exc
+    except ValueError as exc:  # malformed JSON or not UTF-8
+        raise ACMSpecError(f"{path}: not valid JSON ({exc})") from exc
     return spec_from_json(data)
 
 

@@ -67,10 +67,18 @@ class RunConfig:
             raise ParameterError(f"unknown output format {self.output_format!r}")
 
 
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParameterError(f"{what} must be an integer, got {text!r}") from None
+
+
 def _config_from(args: argparse.Namespace) -> RunConfig:
     prime = args.prime
     if prime is None:
-        prime = int(os.environ.get("KPQ_PRIME", DEFAULT_PRIME))
+        env = os.environ.get("KPQ_PRIME")
+        prime = DEFAULT_PRIME if env is None else _parse_int(env, "KPQ_PRIME")
     return RunConfig(
         field_prime=prime,
         size_budget=args.budget,
@@ -614,7 +622,8 @@ _SWEEP_CELLS = {
 
 def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> dict:
     cells = parse_grid(args.grid)
-    primes = [int(t) for t in args.primes.split(",")] if args.primes else [cfg.field_prime]
+    primes = ([_parse_int(t, "--primes") for t in args.primes.split(",")]
+              if args.primes else [cfg.field_prime])
     for prime in primes:
         PrimeField(prime)
     worker = _SWEEP_CELLS[args.check]

@@ -14,15 +14,27 @@ into the coefficient, with sign (-1)^{i+1} on the i-th factor.
 All linear algebra is exact over GF(p). Matrices are sparse and decompose
 into blocks along the connected components of their row/column incidence
 graph (the complex's internal multigrading, discovered by union-find); each
-block is eliminated densely in int64 with delayed reduction, which stays
-exact because every intermediate value is bounded by (#pivots + 1) * p^2.
+block is eliminated densely in int64 with delayed reduction. The modulus is
+capped at MAX_MODULUS, where a product of two residues, (p-1)^2, still fits
+in int64, and the trailing block is reduced mod p every
+(2^63 - 1) // (p-1)^2 pivots, so no intermediate value ever overflows.
+
+On the capped ring every basis element (f_1 ^ ... ^ f_p) (x) m has a
+multidegree alpha = f_1 + ... + f_p + m in Z^{n+1}, and the differential
+preserves it. Permuting the variables x_0..x_n maps the alpha-block of a
+differential onto the sigma(alpha)-block by a signed permutation of rows and
+columns, so the two have the same rank over every field. `rank()` therefore
+eliminates the blocks of one multidegree per S_{n+1} orbit (orbit key:
+sorted(alpha)) and reuses that rank for the rest of the orbit. ACM rings
+have no such grading (the Fermat relation is not multigraded), so there
+every block is eliminated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -33,6 +45,10 @@ from .errors import InconsistencyError, ParameterError, ResourceLimitError
 DEFAULT_PRIME = 32003
 SECONDARY_PRIME = 1000003
 DEFAULT_ENTRY_BUDGET = 20_000_000
+
+_INT64_MAX = 2**63 - 1
+# Largest modulus for which (p-1)^2, a product of two residues, fits in int64.
+MAX_MODULUS = math.isqrt(_INT64_MAX) + 1
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -65,13 +81,18 @@ def _is_prime(m: int) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class PrimeField:
-    """GF(modulus) for an odd prime modulus."""
+    """GF(modulus) for an odd prime modulus of at most MAX_MODULUS."""
 
     modulus: int = DEFAULT_PRIME
 
     def __post_init__(self) -> None:
         if self.modulus == 2 or not _is_prime(self.modulus):
             raise ParameterError(f"field modulus must be an odd prime, got {self.modulus}")
+        if self.modulus > MAX_MODULUS:
+            raise ParameterError(
+                f"field modulus {self.modulus} exceeds {MAX_MODULUS}, the largest "
+                f"for which products of two residues fit in int64"
+            )
 
     def inv(self, a: int) -> int:
         return pow(a % self.modulus, -1, self.modulus)
@@ -145,14 +166,19 @@ class SparseMatrix:
     """Column-major sparse matrix of residues mod an odd prime.
 
     Invariants: one entry per (row, col); stored residues lie in [1, p-1].
+    `multidegree`, when given, maps a column to the multidegree it lives in;
+    the matrix must preserve it, and blocks whose multidegrees differ by a
+    permutation must have equal rank (see the module docstring).
     """
 
     def __init__(self, rows: int, cols: int, modulus: int,
-                 cols_data: list[list[tuple[int, int]]]):
+                 cols_data: list[list[tuple[int, int]]],
+                 multidegree: Callable[[int], tuple[int, ...]] | None = None):
         self.rows = rows
         self.cols = cols
         self.modulus = modulus
         self._cols = cols_data
+        self.multidegree = multidegree
         self._rank: int | None = None
         self._components: list[tuple[list[int], list[int]]] | None = None
 
@@ -225,11 +251,28 @@ class SparseMatrix:
         self._components = comps
         return comps
 
+    def _degree_groups(self) -> dict[tuple[int, ...], list[tuple[list[int], list[int]]]]:
+        """Components grouped by the multidegree of their columns.
+
+        Without a multidegree, each component is its own group, keyed by its
+        first column.
+        """
+        degree = self.multidegree or (lambda c: (c,))
+        groups: dict[tuple[int, ...], list[tuple[list[int], list[int]]]] = {}
+        for comp in self._component_split():
+            groups.setdefault(degree(comp[0][0]), []).append(comp)
+        return groups
+
     def rank(self) -> int:
+        """Rank over GF(modulus), eliminating one multidegree per S_{n+1} orbit."""
         if self._rank is None:
+            orbit_rank: dict[tuple[int, ...], int] = {}
             total = 0
-            for cols_g, rows_g in self._component_split():
-                total += self._block_rank(cols_g, rows_g)
+            for alpha, comps in self._degree_groups().items():
+                key = tuple(sorted(alpha))
+                if key not in orbit_rank:
+                    orbit_rank[key] = sum(self._block_rank(c, r) for c, r in comps)
+                total += orbit_rank[key]
             self._rank = total
         return self._rank
 
@@ -317,16 +360,21 @@ class SparseMatrix:
 
 
 def _dense_rank_mod(block: np.ndarray, p: int) -> int:
-    """Exact rank of an int64 block mod p, in place.
+    """Exact rank of an int64 block mod p, in place, for odd p <= MAX_MODULUS.
 
-    Only the pivot row is ever fully reduced; other entries accumulate
-    unreduced, bounded in magnitude by (#pivots + 1) * p^2, which fits int64
-    comfortably for the supported moduli (p <= ~3e7 even allows ~1e4 pivots
-    at 1e15, far below 2^63).
+    The block is first reduced to residues in [0, p-1]. After that only the
+    pivot row is fully reduced: each update subtracts a product of two
+    residues, at most (p-1)^2, so after t updates every trailing entry lies
+    in [-t * (p-1)^2, p-1]. The trailing block is reduced mod p again every
+    (2^63 - 1) // (p-1)^2 pivots, which keeps every value inside int64. For
+    32003 and 1000003 that period is above 9 * 10^6 pivots, longer than any
+    block, so no extra reduction runs.
     """
     if block.size == 0:
         return 0
     a = block if block.shape[0] <= block.shape[1] else block.T.copy()
+    a %= p
+    period = _INT64_MAX // (p - 1) ** 2
     m, n_cols = a.shape
     rank = 0
     for c in range(n_cols):
@@ -346,6 +394,8 @@ def _dense_rank_mod(block: np.ndarray, p: int) -> int:
             f = a[rank + 1:, c] % p
             a[rank + 1:, c:] -= f[:, None] * row
         rank += 1
+        if rank % period == 0:
+            a[rank:, c + 1:] %= p
     return rank
 
 
@@ -380,9 +430,17 @@ class TruncatedAlgebra:
             return []
         return [(1, Monomial(out))]
 
+    @staticmethod
+    def multidegree(factors: Sequence[Monomial], coeff: Monomial) -> tuple[int, ...]:
+        """Exponent vector of (f_1 ^ ... ^ f_p) (x) m: f_1 + ... + f_p + m."""
+        return tuple(map(sum, zip(coeff.exponents, *(f.exponents for f in factors))))
+
 
 class ReducedACMAlgebra:
     """The capped reduction of an ACM ring as a coefficient algebra."""
+
+    # the Fermat relation mixes multidegrees, so no orbit reuse applies
+    multidegree = None
 
     def __init__(self, spec: _acm.ACMSpec, d: int):
         if d < 2:
@@ -541,7 +599,8 @@ class KoszulComplex:
             prod.append(row_g)
 
         nnz = 0
-        for combo in wedge_basis(nb, p):
+        combos = wedge_basis(nb, p)
+        for combo in combos:
             sub_ranks = []
             for t in range(p):
                 sub = combo[:t] + combo[t + 1:]
@@ -569,7 +628,14 @@ class KoszulComplex:
                         f"entry budget {self.entry_budget} during assembly"
                     )
                 cols_data.append(col)
-        return SparseMatrix(rows, n_src, mod, cols_data)
+
+        column_degree = None
+        if self.algebra.multidegree is not None:
+            def column_degree(c: int) -> tuple[int, ...]:
+                factors = [self._gens[i] for i in combos[c // n_src_c]]
+                return self.algebra.multidegree(factors, src_coeffs[c % n_src_c])
+
+        return SparseMatrix(rows, n_src, mod, cols_data, column_degree)
 
     def differential(self, p: int, q: int) -> SparseMatrix:
         """The outgoing differential of the (p, q) middle term."""

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from kpq.acm import hypersurface_spec, save_spec
+from kpq.acm import hypersurface_spec, save_spec, spec_to_json
 from kpq.cli import main, parse_grid
 from kpq.errors import ParameterError
 from kpq.koszul import SparseMatrix
@@ -309,3 +309,91 @@ class TestEnvironment:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+
+def _relation_doc():
+    return {"schema_version": 1, "name": "conic", "n": 1,
+            "lambda": [{"degree": 0}, {"degree": 1}],
+            "relation": {"degree": 2, "monic": True,
+                         "coefficients": [[{"coeff": 1, "x_exponents": [2, 0]}], []]}}
+
+
+def _negative_lambda(doc):
+    # with t^2 = 0 every table entry stays degree-preserving
+    doc["lambda"][1] = {"degree": -1}
+    doc["table"][2]["terms"] = []
+
+
+def _relation_without_degree(doc):
+    del doc["table"]
+    doc["relation"] = _relation_doc()["relation"]
+    del doc["relation"]["degree"]
+
+
+# each breaks one spec document in one way; all must be refused with exit 2
+BAD_SPECS = {
+    "lambda-key": lambda doc: doc["lambda"].__setitem__(0, {"deg": 0}),
+    "lambda-type": lambda doc: doc["lambda"].__setitem__(1, {"degree": "1"}),
+    "lambda-negative": _negative_lambda,
+    "no-i": lambda doc: doc["table"][0].pop("i"),
+    "no-j": lambda doc: doc["table"][0].pop("j"),
+    "no-coeff": lambda doc: doc["table"][0]["terms"][0].pop("coeff"),
+    "no-x-exponents": lambda doc: doc["table"][0]["terms"][0].pop("x_exponents"),
+    "x-exponents-type": lambda doc: doc["table"][0]["terms"][0].update(x_exponents=3),
+    "n-type": lambda doc: doc.update(n="2"),
+    "table-type": lambda doc: doc.update(table={"i": 0}),
+    "entry-type": lambda doc: doc["table"].__setitem__(0, [0, 0]),
+    "index-range": lambda doc: doc["table"][0].update(i=9),
+    "relation-no-degree": _relation_without_degree,
+}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("breakage", sorted(BAD_SPECS))
+    def test_malformed_spec_exits_2(self, capsys, tmp_path, breakage):
+        doc = spec_to_json(hypersurface_spec(2, 3))
+        BAD_SPECS[breakage](doc)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "range", "--acm", str(path), "--d", "3", "--q", "1")
+        assert code == 2
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("breakage", ["no-coeff", "coeff-type", "list-type"])
+    def test_malformed_relation_exits_2(self, capsys, tmp_path, breakage):
+        doc = _relation_doc()
+        terms = doc["relation"]["coefficients"]
+        if breakage == "no-coeff":
+            terms[0][0].pop("coeff")
+        elif breakage == "coeff-type":
+            terms[0][0]["coeff"] = "1"
+        else:
+            terms[1] = {"coeff": 1}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "betti", "--acm", str(path), "--d", "2")
+        assert code == 2
+        assert err.startswith("error:")
+
+    def test_missing_spec_file_exits_2(self, capsys, tmp_path):
+        code, _, err = run(capsys, "range", "--acm", str(tmp_path / "absent.json"),
+                           "--d", "3", "--q", "1")
+        assert code == 2
+        assert "cannot read" in err
+
+    @pytest.mark.parametrize("value", ["abc", "", "3.5", "32003x", "4294967311"])
+    def test_unusable_env_prime_exits_2(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("KPQ_PRIME", value)
+        code, _, err = run(capsys, "betti", "--n", "1", "--d", "2")
+        assert code == 2
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--check", "ranges", "--grid", "n=1,d=2", "--primes", "32003,abc"),
+        ("betti", "--n", "1", "--d", "2", "--prime", "4294967311"),
+        ("betti", "--n", "1", "--d", "2", "--prime", str(10**18 + 9)),
+    ])
+    def test_unusable_prime_exits_2(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:")

@@ -1,3 +1,6 @@
+import math
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,12 +8,16 @@ from hypothesis import given, settings, strategies as st
 from kpq.acm import ACMMonomial, hypersurface_spec
 from kpq.combinatorics import Monomial, TruncatedRing, enumerate_monomials
 from kpq.errors import ParameterError, ResourceLimitError
+from kpq import koszul
 from kpq.koszul import (
     DEFAULT_PRIME,
+    MAX_MODULUS,
     SECONDARY_PRIME,
     KoszulComplex,
     PrimeField,
     SparseMatrix,
+    _dense_rank_mod,
+    _is_prime,
     colex_rank,
     colex_unrank,
     wedge_basis,
@@ -46,6 +53,20 @@ def reference_rank(dense, p):
     return rank
 
 
+def prime_at_most(m):
+    while not _is_prime(m) or m == 2:
+        m -= 1
+    return m
+
+
+LARGEST_PRIME = prime_at_most(MAX_MODULUS)
+EDGE_PRIMES = (3, 5, 32003, 1000003, 1000000007, 2147483647, LARGEST_PRIME)
+
+
+def product_mod(a, b, p):
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+
+
 class TestPrimeField:
     def test_accepts_odd_primes(self):
         assert PrimeField(32003).modulus == 32003
@@ -57,6 +78,14 @@ class TestPrimeField:
         for bad in (2, 1, 0, -7, 4, 6, 9, 32001, 1000001):
             with pytest.raises(ParameterError):
                 PrimeField(bad)
+
+    def test_modulus_cap(self):
+        assert (MAX_MODULUS - 1) ** 2 < 2**63 <= MAX_MODULUS**2
+        assert PrimeField(LARGEST_PRIME).modulus == LARGEST_PRIME
+        for too_big in (4294967311, 10**18 + 9):
+            assert _is_prime(too_big)
+            with pytest.raises(ParameterError, match="exceeds"):
+                PrimeField(too_big)
 
     def test_inverse(self):
         f = PrimeField(32003)
@@ -195,6 +224,33 @@ class TestSparseMatrix:
         assert got == expected
 
 
+class TestDenseRank:
+    @pytest.mark.parametrize("p", [1000000007, LARGEST_PRIME])
+    def test_low_rank_product_near_the_cap(self, p):
+        # 30x20 times 20x40 has rank 20; unreduced int64 growth used to report 30
+        rng = random.Random(p)
+        a = [[rng.randrange(p) for _ in range(20)] for _ in range(30)]
+        b = [[rng.randrange(p) for _ in range(40)] for _ in range(20)]
+        block = np.array(product_mod(a, b, p), dtype=np.int64)
+        assert _dense_rank_mod(block, p) == 20
+
+    @given(
+        st.one_of(st.sampled_from(EDGE_PRIMES),
+                  st.integers(3, MAX_MODULUS).map(prime_at_most)),
+        st.integers(1, 12), st.integers(1, 12), st.integers(1, 12),
+        st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_reference(self, p, rows, inner, cols, data):
+        entries = st.integers(0, p - 1)
+        a = data.draw(st.lists(st.lists(entries, min_size=inner, max_size=inner),
+                               min_size=rows, max_size=rows))
+        b = data.draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                               min_size=inner, max_size=inner))
+        dense = product_mod(a, b, p)
+        assert _dense_rank_mod(np.array(dense, dtype=np.int64), p) == reference_rank(dense, p)
+
+
 class TestDifferential:
     def test_hand_built_matrix(self):
         cx = KoszulComplex(TruncatedRing(2, 3))
@@ -234,6 +290,67 @@ class TestDifferential:
         assert sl.d_p_plus_1.rows == sl.middle_dim
         assert sl.left_dim == sl.d_p_plus_1.cols
         assert sl.right_dim == sl.d_p.rows
+
+
+class TestOrbitRank:
+    """rank() eliminates one multidegree per S_{n+1} orbit; the slow path is the referee."""
+
+    @staticmethod
+    def slow_rank(mat):
+        return sum(mat._block_rank(c, r) for c, r in mat._component_split())
+
+    @staticmethod
+    def degree_rank(mat, comps):
+        return sum(mat._block_rank(c, r) for c, r in comps)
+
+    @given(st.integers(1, 3), st.integers(2, 4),
+           st.sampled_from([3, 5, DEFAULT_PRIME, SECONDARY_PRIME]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_orbit_rank_matches_every_block(self, n, d, prime, data):
+        ring = TruncatedRing(n + 1, d)
+        nb = len(enumerate_monomials(ring, d))
+        order = data.draw(st.permutations(range(nb)))
+        cx = KoszulComplex(ring, field=prime, generator_order=order)
+        k = data.draw(st.integers(0, ring.top_degree - d))
+        small = [p for p in range(1, nb + 1)
+                 if math.comb(nb, p) * cx.algebra.dim(k) <= 3000]
+        p = data.draw(st.sampled_from(small))
+        mat = cx.differential_matrix(p, k)
+        assert mat.rank() == self.slow_rank(mat)
+
+        groups = mat._degree_groups()
+        for alpha, comps in groups.items():
+            assert all(mat.multidegree(c) == alpha for cols, _ in comps for c in cols)
+        if groups:
+            alpha = data.draw(st.sampled_from(sorted(groups)))
+            sigma = data.draw(st.permutations(range(n + 1)))
+            moved = tuple(alpha[i] for i in sigma)
+            assert moved in groups
+            assert self.degree_rank(mat, groups[moved]) == self.degree_rank(mat, groups[alpha])
+
+    def test_one_elimination_per_orbit(self, monkeypatch):
+        cx = KoszulComplex(TruncatedRing(3, 4))
+        mat = cx.differential_matrix(5, 4)
+        groups = mat._degree_groups()
+        orbits = {tuple(sorted(alpha)) for alpha in groups}
+        assert len(orbits) < len(groups)
+        firsts = {}
+        for alpha, comps in groups.items():
+            firsts.setdefault(tuple(sorted(alpha)), len(comps))
+        slow = self.slow_rank(mat)
+        calls = []
+        real = koszul._dense_rank_mod
+        monkeypatch.setattr(koszul, "_dense_rank_mod",
+                            lambda block, p: calls.append(block.shape) or real(block, p))
+        assert mat.rank() == slow
+        assert len(calls) == sum(firsts.values()) < len(mat._component_split())
+
+    def test_acm_blocks_are_not_merged(self):
+        cx = KoszulComplex(hypersurface_spec(2, 2), d=2)
+        mat = cx.differential_matrix(2, 2)
+        assert mat.multidegree is None
+        assert len(mat._degree_groups()) == len(mat._component_split())
+        assert mat.rank() == self.slow_rank(mat)
 
 
 class TestKpqDims:
