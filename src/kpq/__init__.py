@@ -53,13 +53,8 @@ from .koszul import (
     KoszulComplex,
     PrimeField,
     SparseMatrix,
-    betti_row,
     colex_rank,
     colex_unrank,
-    differential,
-    is_boundary,
-    is_cycle,
-    kpq_dim,
     wedge_basis,
 )
 from .ranges import (
@@ -110,11 +105,10 @@ __all__ = [
     "TruncatedRing", "VeroneseParams", "VeroneseRangeReport", "VeroneseWitnessParams",
     "WitnessCycle", "ZSetReport", "acm_e_set", "acm_range", "acm_range_improved",
     "acm_range_report", "acm_zero_set", "admissible_q", "annihilates",
-    "asymptotic_coefficients", "betti_row", "binom", "build_witness", "colex_rank",
-    "colex_unrank", "count_formulas", "differential", "divides", "divisor_set",
-    "dual_params", "enumerate_monomials", "hypersurface_spec", "invariants",
-    "is_boundary", "is_cycle", "kpq_dim", "leftmost_monomial", "load_spec",
-    "mixed_cap_dim", "mul_truncated", "normalize", "quot_rem_by_dm1",
+    "asymptotic_coefficients", "binom", "build_witness", "colex_rank",
+    "colex_unrank", "count_formulas", "divides", "divisor_set", "dual_params",
+    "enumerate_monomials", "hypersurface_spec", "invariants", "leftmost_monomial",
+    "load_spec", "mixed_cap_dim", "mul_truncated", "normalize", "quot_rem_by_dm1",
     "reduce_product", "save_spec", "spec_from_json", "spec_to_json",
     "truncated_dim", "veronese_range", "veronese_range_report", "veronese_spec",
     "verify_certificate", "wedge_basis", "zero_set",

@@ -18,7 +18,9 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .combinatorics import Monomial, TruncatedRing, binom, mixed_cap_dim, truncated_dim
+from .combinatorics import (
+    Monomial, TruncatedRing, _monomials, binom, mixed_cap_dim, truncated_dim,
+)
 from .errors import ACMSpecError, ParameterError
 
 SCHEMA_VERSION = 1
@@ -151,9 +153,9 @@ def hypersurface_spec(e: int, ambient_m: int,
     degree e - k; the default is the Fermat-type relation t^e + x_0^e + ... + x_n^e.
     """
     if e < 2:
-        raise ParameterError(f"hypersurface degree must be >= 2, got {e}")
+        raise ACMSpecError(f"hypersurface degree must be >= 2, got {e}")
     if ambient_m < 2:
-        raise ParameterError(f"ambient dimension must be >= 2, got {ambient_m}")
+        raise ACMSpecError(f"ambient dimension must be >= 2, got {ambient_m}")
     n = ambient_m - 1
     if relation is None:
         fermat = []
@@ -283,16 +285,9 @@ def basis(spec: ACMSpec, d: int, k: int) -> list[ACMMonomial]:
     ring = TruncatedRing(spec.n + 1, d)
     out = []
     for i, lam_deg in enumerate(spec.lambda_degrees):
-        for mono in _x_parts(ring, k - lam_deg):
+        for mono in _monomials(ring, k - lam_deg):
             out.append(ACMMonomial(mono.exponents, i))
     return out
-
-
-@lru_cache(maxsize=None)
-def _x_parts(ring: TruncatedRing, k: int):
-    from .combinatorics import _monomials
-
-    return _monomials(ring, k)
 
 
 # ---------------------------------------------------------------------------

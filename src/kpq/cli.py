@@ -6,8 +6,9 @@ Subcommands
     betti    brute-force dimension table over a prime field
     sweep    invariant suites over a parameter grid
 
-Exit codes: 0 success, 2 parameter/precondition violation, 3 resource budget
-exceeded, 4 internal inconsistency (cross-checked quantities disagree).
+Exit codes: 0 success, 2 parameter/precondition violation or unwritable
+output path, 3 resource budget exceeded, 4 internal inconsistency
+(cross-checked quantities disagree).
 JSON output is byte-stable: keys sorted, fixed indentation, no timestamps.
 The default field prime comes from KPQ_PRIME when set.
 """
@@ -20,7 +21,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -55,14 +55,11 @@ class RunConfig:
     field_prime: int = DEFAULT_PRIME
     size_budget: int = DEFAULT_ENTRY_BUDGET
     output_format: str = "json"
-    threads: int = 1
 
     def __post_init__(self) -> None:
         PrimeField(self.field_prime)
         if self.size_budget <= 0:
             raise ParameterError(f"size budget must be positive, got {self.size_budget}")
-        if self.threads < 1:
-            raise ParameterError(f"thread count must be >= 1, got {self.threads}")
         if self.output_format not in ("json", "csv", "table"):
             raise ParameterError(f"unknown output format {self.output_format!r}")
 
@@ -83,7 +80,6 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         field_prime=prime,
         size_budget=args.budget,
         output_format=args.format,
-        threads=getattr(args, "threads", 1),
     )
 
 
@@ -135,10 +131,6 @@ def _emit(payload: dict, cfg: RunConfig, out: str | None) -> int:
 
 # ---------------------------------------------------------------------------
 # range
-
-def _load_acm_spec(path: str) -> _acm.ACMSpec:
-    return _acm.load_spec(path)
-
 
 def _veronese_range_payload(n: int, d: int, b: int, q: int) -> dict:
     params = _ranges.normalize(n, d, b, q)
@@ -235,7 +227,7 @@ def cmd_range(args: argparse.Namespace, cfg: RunConfig) -> dict:
         e, m = acm_builtin
         return _acm_range_payload(_acm.hypersurface_spec(e, m), d, b, q)
     if acm_path:
-        return _acm_range_payload(_load_acm_spec(acm_path), d, b, q)
+        return _acm_range_payload(_acm.load_spec(acm_path), d, b, q)
     if n is None or d is None:
         raise ParameterError("range needs --n and --d (or --acm/--preset)")
     if q is None:
@@ -316,7 +308,7 @@ def _parse_span(text: str, what: str) -> tuple[int, int]:
 
 def cmd_betti(args: argparse.Namespace, cfg: RunConfig) -> dict:
     if args.acm:
-        spec = _load_acm_spec(args.acm)
+        spec = _acm.load_spec(args.acm)
         if args.d is None:
             raise ParameterError("betti over an ACM spec needs --d")
         n, d = spec.n, args.d
@@ -344,14 +336,15 @@ def cmd_betti(args: argparse.Namespace, cfg: RunConfig) -> dict:
         dims: list[int | None] = []
         for p in range(p_lo, p_hi + 1):
             try:
-                dims.append(cx.kpq_dim(p, q))
+                dim = cx.kpq_dim(p, q)
                 if dump_dir:
                     mat = cx.differential(p, q)
                     name = f"dp_b{args.b}_q{q}_p{p}.txt"
                     (dump_dir / name).write_text(mat.to_triplet_text())
             except ResourceLimitError as exc:
-                dims.append(None)
+                dim = None
                 errors.append({"q": q, "p": p, "error": str(exc)})
+            dims.append(dim)
         rows.append({"q": q, "dims": dims})
 
     payload = {
@@ -627,16 +620,7 @@ def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> dict:
     for prime in primes:
         PrimeField(prime)
     worker = _SWEEP_CELLS[args.check]
-
-    def run_cell(nd):
-        return worker(nd[0], nd[1], primes, cfg.size_budget)
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(run_cell, cells))
-    else:
-        results = [run_cell(nd) for nd in cells]
-    results.sort(key=lambda c: (c["n"], c["d"]))
+    results = [worker(n, d, primes, cfg.size_budget) for n, d in cells]
 
     failures = [dict(f, n=c["n"], d=c["d"]) for c in results for f in c["failures"]]
     skipped = [dict(s, n=c["n"], d=c["d"]) for c in results for s in c.get("skipped", [])]
@@ -725,7 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help='e.g. "n<=2,d<=4;n=3,d=2" or "tiny"')
     p_sweep.add_argument("--primes", default=None,
                          help=f"comma-separated, e.g. {DEFAULT_PRIME},{SECONDARY_PRIME}")
-    p_sweep.add_argument("--threads", type=int, default=1)
     p_sweep.set_defaults(func=cmd_sweep)
     return parser
 
@@ -746,6 +729,9 @@ def main(argv: list[str] | None = None) -> int:
     except InconsistencyError as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Error taxonomy shared by the library and the CLI.
 
 Exit-code mapping used by the CLI: ParameterError (and subclasses) -> 2,
-ResourceLimitError -> 3, InconsistencyError -> 4.
+ResourceLimitError -> 3, InconsistencyError -> 4; an OSError from writing
+the output is also 2.
 """
 
 

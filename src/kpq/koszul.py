@@ -122,14 +122,13 @@ def _colex_combos(nb: int, p: int):
             yield rest + (top,)
 
 
-def wedge_basis(items: Union[int, Sequence], p: int) -> list[tuple[int, ...]]:
-    """Strictly increasing index p-tuples into `items`, in colex order.
+def wedge_basis(nb: int, p: int) -> list[tuple[int, ...]]:
+    """Strictly increasing p-tuples of indices into range(nb), in colex order.
 
     Colex ordering keeps every tuple's position stable when the underlying
     list grows, so indices freeze together with the monomial enumeration.
-    Returns [] for p < 0 or p > len(items), and [()] for p = 0.
+    Returns [] for p < 0 or p > nb, and [()] for p = 0.
     """
-    nb = items if isinstance(items, int) else len(items)
     if p < 0 or p > nb:
         return []
     key = (nb, p)
@@ -172,7 +171,7 @@ class SparseMatrix:
     """
 
     def __init__(self, rows: int, cols: int, modulus: int,
-                 cols_data: list[list[tuple[int, int]]],
+                 cols_data: list[Sequence[tuple[int, int]]],
                  multidegree: Callable[[int], tuple[int, ...]] | None = None):
         self.rows = rows
         self.cols = cols
@@ -202,15 +201,6 @@ class SparseMatrix:
         for c, col in enumerate(self._cols):
             for r, v in col:
                 yield r, c, v
-
-    def column(self, c: int) -> list[tuple[int, int]]:
-        return list(self._cols[c])
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols), dtype=np.int64)
-        for r, c, v in self.triplets():
-            out[r, c] = v
-        return out
 
     # -- block decomposition ------------------------------------------------
 
@@ -500,9 +490,6 @@ class ComplexSlice:
     d_p_plus_1: SparseMatrix
 
 
-Element = Mapping[int, int]
-
-
 class KoszulComplex:
     """Assembles and eliminates slices of the complex for one (algebra, b).
 
@@ -572,17 +559,16 @@ class KoszulComplex:
         nb = self.num_generators
         src_coeffs = self.algebra.degree_basis(k)
         n_src = math.comb(nb, p) * len(src_coeffs) if 0 <= p <= nb else 0
-        if p <= 0 or n_src == 0:
-            rows = 0 if p <= 0 else math.comb(nb, p - 1) * self.algebra.dim(k + self.d)
-            return SparseMatrix(rows, n_src, mod, [[] for _ in range(n_src)])
+        rows = math.comb(nb, p - 1) * self.algebra.dim(k + self.d) if p > 0 else 0
+        if n_src == 0 or rows == 0:
+            # a zero map has no entries, so the entry budget does not bound its
+            # columns; one shared empty tuple keeps each to a single pointer
+            return SparseMatrix(rows, n_src, mod, [()] * n_src)
         self._budget_check(p, k)
         dst_coeffs = self.algebra.degree_basis(k + self.d)
         dst_index = {m: i for i, m in enumerate(dst_coeffs)}
         n_dst_c = len(dst_coeffs)
-        rows = math.comb(nb, p - 1) * n_dst_c
         cols_data: list[list[tuple[int, int]]] = []
-        if n_dst_c == 0:
-            return SparseMatrix(0, n_src, mod, [[] for _ in range(n_src)])
 
         # product expansions are shared by every wedge containing a generator
         n_src_c = len(src_coeffs)
@@ -642,22 +628,20 @@ class KoszulComplex:
         return self.differential_matrix(p, self.coeff_degree(q))
 
     def slice(self, p: int, q: int) -> ComplexSlice:
-        """Assemble both differentials around (p, q) and verify the chain condition."""
+        """Assemble both differentials around (p, q) and verify the chain condition.
+
+        The check is the one `kpq_dim` runs on its first visit to (p, q).
+        """
         k = self.coeff_degree(q)
-        d_p = self.differential_matrix(p, k)
-        d_p1 = self.differential_matrix(p + 1, k - self.d)
-        if d_p.cols and d_p1.cols and not d_p.compose_is_zero(d_p1):
-            raise InconsistencyError(
-                f"chain condition failed at p={p}, q={q}: the composed "
-                f"differentials are nonzero mod {self.field.modulus}"
-            )
+        d_p, d_p1 = self._checked_differentials(p, q, self.field)
         nb = self.num_generators
         return ComplexSlice(
             p=p, q=q, coeff_degree=k,
             left_dim=math.comb(nb, p + 1) * self.algebra.dim(k - self.d),
             middle_dim=math.comb(nb, p) * self.algebra.dim(k),
             right_dim=math.comb(nb, p - 1) * self.algebra.dim(k + self.d) if p >= 1 else 0,
-            d_p=d_p, d_p_plus_1=d_p1,
+            d_p=d_p or self.differential_matrix(p, k),
+            d_p_plus_1=d_p1 or self.differential_matrix(p + 1, k - self.d),
         )
 
     # -- ranks and dimensions ---------------------------------------------------
@@ -667,6 +651,23 @@ class KoszulComplex:
         if p <= 0 or p > self.num_generators:
             return False
         return self.algebra.dim(k) > 0 and self.algebra.dim(k + self.d) > 0
+
+    def _checked_differentials(self, p: int, q: int, field: PrimeField
+                               ) -> tuple[SparseMatrix | None, SparseMatrix | None]:
+        """Assemble the nontrivial differentials d_p, d_{p+1} around (p, q) and
+        verify d_p d_{p+1} = 0; a trivial one comes back as None.
+        """
+        k = self.coeff_degree(q)
+        d_p = self.differential_matrix(p, k, field) if self._nontrivial(p, k) else None
+        d_p1 = (self.differential_matrix(p + 1, k - self.d, field)
+                if self._nontrivial(p + 1, k - self.d) else None)
+        if d_p is not None and d_p1 is not None and not d_p.compose_is_zero(d_p1):
+            raise InconsistencyError(
+                f"chain condition failed at p={p}, q={q}: the composed "
+                f"differentials are nonzero mod {field.modulus}"
+            )
+        self._chain_checked.add((p, q, field.modulus))
+        return d_p, d_p1
 
     def _rank(self, p: int, k: int, field: PrimeField,
               mat: SparseMatrix | None = None) -> int:
@@ -688,23 +689,10 @@ class KoszulComplex:
         mid = self.middle_dim(p, q)
         if mid == 0:
             return 0
-        chain_key = (p, q, field.modulus)
-        if chain_key not in self._chain_checked:
-            d_p = self.differential_matrix(p, k, field) if self._nontrivial(p, k) else None
-            d_p1 = (self.differential_matrix(p + 1, k - self.d, field)
-                    if self._nontrivial(p + 1, k - self.d) else None)
-            if d_p is not None and d_p1 is not None and d_p.cols and d_p1.cols \
-                    and not d_p.compose_is_zero(d_p1):
-                raise InconsistencyError(
-                    f"chain condition failed at p={p}, q={q} mod {field.modulus}"
-                )
-            self._chain_checked.add(chain_key)
-            r1 = self._rank(p, k, field, mat=d_p)
-            r2 = self._rank(p + 1, k - self.d, field, mat=d_p1)
-        else:
-            r1 = self._rank(p, k, field)
-            r2 = self._rank(p + 1, k - self.d, field)
-        dim = mid - r1 - r2
+        d_p = d_p1 = None
+        if (p, q, field.modulus) not in self._chain_checked:
+            d_p, d_p1 = self._checked_differentials(p, q, field)
+        dim = mid - self._rank(p, k, field, d_p) - self._rank(p + 1, k - self.d, field, d_p1)
         if dim < 0:
             raise InconsistencyError(
                 f"negative homology dimension {dim} at p={p}, q={q}: rank bookkeeping is broken"
@@ -792,44 +780,3 @@ class KoszulComplex:
             return True
         mat = self.differential_matrix(p + 1, self.coeff_degree(q) - self.d, field)
         return mat.solve_consistent(vec)
-
-
-# ---------------------------------------------------------------------------
-# Functional front door
-
-def kpq_dim(p: int, q: int, ring_or_spec, d: int | None = None, b: int = 0,
-            field: Union[PrimeField, int, None] = None,
-            entry_budget: int = DEFAULT_ENTRY_BUDGET) -> int:
-    """dim K_{p,q} over GF(modulus) for a capped ring or ACM spec."""
-    return KoszulComplex(ring_or_spec, d=d, b=b, field=field,
-                         entry_budget=entry_budget).kpq_dim(p, q)
-
-
-def differential(p: int, q: int, ring_or_spec, d: int | None = None, b: int = 0,
-                 field: Union[PrimeField, int, None] = None,
-                 entry_budget: int = DEFAULT_ENTRY_BUDGET) -> SparseMatrix:
-    """Assembled differential leaving the (p, q) middle term."""
-    return KoszulComplex(ring_or_spec, d=d, b=b, field=field,
-                         entry_budget=entry_budget).differential(p, q)
-
-
-def betti_row(q: int, p_range: Iterable[int], ring_or_spec, d: int | None = None,
-              b: int = 0, field: Union[PrimeField, int, None] = None,
-              entry_budget: int = DEFAULT_ENTRY_BUDGET) -> list[int]:
-    """dim K_{p,q} across p_range."""
-    return KoszulComplex(ring_or_spec, d=d, b=b, field=field,
-                         entry_budget=entry_budget).betti_row(q, p_range)
-
-
-def is_cycle(element, p: int, q: int, ring_or_spec, d: int | None = None, b: int = 0,
-             field: Union[PrimeField, int, None] = None,
-             entry_budget: int = DEFAULT_ENTRY_BUDGET) -> bool:
-    return KoszulComplex(ring_or_spec, d=d, b=b, field=field,
-                         entry_budget=entry_budget).is_cycle(element, p, q)
-
-
-def is_boundary(element, p: int, q: int, ring_or_spec, d: int | None = None, b: int = 0,
-                field: Union[PrimeField, int, None] = None,
-                entry_budget: int = DEFAULT_ENTRY_BUDGET) -> bool:
-    return KoszulComplex(ring_or_spec, d=d, b=b, field=field,
-                         entry_budget=entry_budget).is_boundary(element, p, q)

@@ -1,6 +1,8 @@
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kpq.acm import (
     SCHEMA_VERSION,
@@ -343,8 +345,72 @@ class TestJsonInterchange:
         with pytest.raises(ACMSpecError, match="monic"):
             spec_from_json(doc)
 
+    @pytest.mark.parametrize("field, value", [("n", 0), ("degree", 1)])
+    def test_relation_form_degenerate_parameters(self, field, value):
+        doc = copy.deepcopy(VALID_DOCS[1])
+        if field == "n":
+            doc["n"] = value
+        else:
+            doc["relation"].update(degree=value, coefficients=[[]])
+            doc["lambda"] = [{"degree": 0}]
+        with pytest.raises(ACMSpecError, match="must be >= 2"):
+            spec_from_json(doc)
+
     def test_bad_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ACMSpecError, match="not valid JSON"):
             load_spec(str(path))
+
+
+SPEC_KEYS = ("schema_version", "name", "n", "lambda", "degree", "table", "relation", "monic",
+             "coefficients", "i", "j", "terms", "coeff", "x_exponents", "lambda_index")
+# small integers keep every spec that does load tiny, so each example runs in milliseconds
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats(-2, 4) | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(SPEC_KEYS) | st.text(max_size=2), inner, max_size=4),
+    max_leaves=10,
+)
+VALID_DOCS = (
+    spec_to_json(quadric_surface()),
+    {"schema_version": SCHEMA_VERSION, "name": "conic", "n": 1,
+     "lambda": [{"degree": 0}, {"degree": 1}],
+     "relation": {"degree": 2, "monic": True,
+                  "coefficients": [[{"coeff": 1, "x_exponents": [2, 0]}], []]}},
+)
+
+
+def mutate_once(doc, data):
+    """Replace or delete one value somewhere inside `doc`, in place."""
+    node = doc
+    while True:
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                        else range(len(node))))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+            node = child
+        elif isinstance(node, dict) and data.draw(st.booleans()):
+            del node[key]
+            return
+        else:
+            node[key] = data.draw(st.integers(-1, 3) | json_values)
+            return
+
+
+class TestSpecFuzz:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_load_or_spec_error(self, data):
+        if data.draw(st.booleans()):
+            doc = data.draw(json_values)
+        else:
+            doc = copy.deepcopy(data.draw(st.sampled_from(VALID_DOCS)))
+            for _ in range(data.draw(st.integers(1, 3))):
+                if doc:
+                    mutate_once(doc, data)
+        try:
+            spec = spec_from_json(doc)
+        except ACMSpecError:
+            return
+        assert isinstance(spec, ACMSpec)

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kpq.acm import hypersurface_spec, save_spec, spec_to_json
 from kpq.cli import main, parse_grid
@@ -217,6 +220,17 @@ class TestBettiCommand:
             mat = SparseMatrix.from_triplet_text((dump / name).read_text())
             assert mat.modulus == 32003
 
+    def test_dump_dir_keeps_rows_aligned(self, capsys, tmp_path):
+        argv = ("betti", "--n", "2", "--d", "4", "--q-range", "2:2", "--p-range", "10:12",
+                "--budget", "200")
+        plain = run_json(capsys, *argv)
+        dumped = run_json(capsys, *argv, "--dump-dir", str(tmp_path))
+        assert plain["rows"] == dumped["rows"] == [{"q": 2, "dims": [None, 24, 3]}]
+        assert plain["errors"] == dumped["errors"]
+        assert [e["p"] for e in dumped["errors"]] == [10]
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "dp_b0_q2_p11.txt", "dp_b0_q2_p12.txt"]
+
 
 class TestGridParsing:
     def test_explicit_grid(self):
@@ -272,12 +286,6 @@ class TestSweepCommand:
         assert doc["verdict"] == "pass"
         cell = doc["cells"][0]
         assert cell["checked"] > 0
-
-    def test_threads_match_serial(self, capsys):
-        serial = run_json(capsys, "sweep", "--check", "duality", "--grid", "tiny")
-        threaded = run_json(capsys, "sweep", "--check", "duality", "--grid", "tiny",
-                            "--threads", "4")
-        assert serial["cells"] == threaded["cells"]
 
     def test_bad_grid_exits_2(self, capsys):
         code, _, err = run(capsys, "sweep", "--check", "ranges", "--grid", "bogus")
@@ -348,7 +356,41 @@ BAD_SPECS = {
 }
 
 
+# options with values for the argv fuzz; --out and --dump-dir are left out so that
+# no example writes into the working directory (their exit codes have tests of their own)
+SMALL_INTS = ("-1", "0", "1", "2", "3")
+ARGV_OPTIONS = {
+    "--n": SMALL_INTS, "--d": SMALL_INTS, "--b": SMALL_INTS, "--q": SMALL_INTS,
+    "--p": SMALL_INTS + ("6",),
+    "--prime": ("3", "4", "32003", "abc"), "--primes": ("32003,5", "32003,4", ""),
+    "--format": ("json", "csv", "table"),
+    "--check": ("ranges", "duality", "shift", "asymptotics", "bogus"),
+    "--grid": ("tiny", "n=1,d=2", "n<=2,d<=3", "n=4,d=2", "bogus"),
+    "--verify": ("none", "certificate", "exhaustive"),
+    "--q-range": ("0:2", "1:1", "2:1", "x"), "--p-range": ("0:3", "2:6", "3:2", "x"),
+    "--preset": ("op-surface-d5", "fermat-cubic-p5", "bogus"),
+    "--acm": ("absent.json",),
+}
+argv_options = st.sampled_from(sorted(ARGV_OPTIONS)).flatmap(
+    lambda flag: st.tuples(st.just(flag), st.sampled_from(ARGV_OPTIONS[flag])))
+
+
 class TestExitCodes:
+    @given(st.sampled_from(["range", "witness", "betti", "sweep", "bogus"]),
+           st.lists(argv_options, max_size=6),
+           st.lists(st.sampled_from(["-h", "--n", "2", "--budget"]), max_size=1))
+    @settings(max_examples=150, deadline=None)
+    def test_random_argv_exits_with_a_documented_code(self, command, options, stray):
+        # a low budget keeps every oracle call small
+        argv = [command, *(t for pair in options for t in pair), *stray, "--budget", "500"]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse: 2 on a usage error, 0 after -h
+                code = exc.code
+        assert code in (0, 2, 3, 4), argv
+
     @pytest.mark.parametrize("breakage", sorted(BAD_SPECS))
     def test_malformed_spec_exits_2(self, capsys, tmp_path, breakage):
         doc = spec_to_json(hypersurface_spec(2, 3))
@@ -395,5 +437,15 @@ class TestExitCodes:
     ])
     def test_unusable_prime_exits_2(self, capsys, argv):
         code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("option", ["--out", "--dump-dir"])
+    def test_unwritable_output_path_exits_2(self, capsys, tmp_path, option):
+        regular_file = tmp_path / "file"
+        regular_file.write_text("")
+        target = {"--out": tmp_path / "missing_dir" / "x.json",
+                  "--dump-dir": regular_file / "mats"}[option]
+        code, _, err = run(capsys, "betti", "--n", "1", "--d", "2", option, str(target))
         assert code == 2
         assert err.startswith("error:")

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from kpq.acm import ACMMonomial, hypersurface_spec
 from kpq.combinatorics import Monomial, TruncatedRing, enumerate_monomials
-from kpq.errors import ParameterError, ResourceLimitError
+from kpq.cli import main
+from kpq.errors import InconsistencyError, ParameterError, ResourceLimitError
 from kpq import koszul
 from kpq.koszul import (
     DEFAULT_PRIME,
@@ -555,19 +556,39 @@ class TestResourceLimits:
         cx = KoszulComplex(TruncatedRing(2, 3), entry_budget=50)
         assert cx.kpq_dim(0, 0) == 1
 
+    def test_zero_target_ignores_budget(self):
+        # 36 source columns times p = 11 is over the budget, but A_12 = 0
+        cx = KoszulComplex(TruncatedRing(3, 4), entry_budget=200)
+        mat = cx.differential(11, 2)
+        assert (mat.rows, mat.cols, mat.nnz) == (0, 36, 0)
 
-class TestFunctionalFrontDoor:
-    def test_wrappers_match_methods(self):
-        from kpq.koszul import betti_row, differential, is_boundary, is_cycle, kpq_dim
 
-        ring = TruncatedRing(2, 3)
-        assert kpq_dim(1, 1, ring) == 3
-        assert betti_row(1, range(0, 3), ring) == [0, 3, 2]
-        mat = differential(2, 1, ring)
-        cx = KoszulComplex(ring)
-        assert list(mat.triplets()) == list(cx.differential(2, 1).triplets())
-        params = VeroneseWitnessParams(n=1, d=3, b=0, q=1)
-        f = leftmost_monomial(1, 3, 1, 0)
-        w = build_witness(f, 1, zero_set(f, ring), divisor_set(f, ring), params)
-        assert is_cycle(w, 1, 1, ring)
-        assert not is_boundary(w, 1, 1, ring)
+class TestChainCheck:
+    """slice, kpq_dim and `kpq betti` share one chain check; a broken d_2 must trip it."""
+
+    @pytest.fixture
+    def broken_d2(self, monkeypatch):
+        real = KoszulComplex.differential_matrix
+
+        def flip_one_sign(cx, p, k, field=None):
+            mat = real(cx, p, k, field)
+            trips = list(mat.triplets())
+            if p == 2 and trips:
+                r, c, v = trips[0]
+                trips[0] = (r, c, -v)
+            return SparseMatrix.from_triplets(mat.rows, mat.cols, mat.modulus, trips)
+
+        monkeypatch.setattr(KoszulComplex, "differential_matrix", flip_one_sign)
+
+    def test_slice_reports_it(self, broken_d2):
+        with pytest.raises(InconsistencyError, match="chain condition failed at p=2, q=1"):
+            KoszulComplex(TruncatedRing(3, 3)).slice(2, 1)
+
+    def test_kpq_dim_reports_it(self, broken_d2):
+        with pytest.raises(InconsistencyError, match="chain condition failed at p=2, q=1"):
+            KoszulComplex(TruncatedRing(3, 3)).kpq_dim(2, 1)
+
+    def test_betti_exits_4(self, broken_d2, capsys):
+        code = main(["betti", "--n", "2", "--d", "3", "--q-range", "1:1", "--p-range", "2:2"])
+        assert code == 4
+        assert "chain condition failed" in capsys.readouterr().err
