@@ -24,15 +24,23 @@ multidegree alpha = f_1 + ... + f_p + m in Z^{n+1}, and the differential
 preserves it. Permuting the variables x_0..x_n maps the alpha-block of a
 differential onto the sigma(alpha)-block by a signed permutation of rows and
 columns, so the two have the same rank over every field. `rank()` therefore
-eliminates the blocks of one multidegree per S_{n+1} orbit (orbit key:
-sorted(alpha)) and reuses that rank for the rest of the orbit. ACM rings
-have no such grading (the Fermat relation is not multigraded), so there
-every block is eliminated.
+eliminates the blocks of the first multidegree it meets in each S_{n+1} orbit
+(orbit key: sorted(alpha)) and counts that rank |S_{n+1} . alpha| =
+(n+1)! / prod(mult!) times. ACM rings have no such grading (the Fermat
+relation is not multigraded), so there every block is eliminated, once.
+
+A differential that `kpq_dim` assembles only for its rank is therefore
+representative-only: just the columns with sorted alpha, one alpha per orbit,
+are filled, and only they are split into blocks. Where `kpq_dim` first visits
+a cell whose two differentials are both nontrivial, it assembles both in full,
+checks that they compose to zero, and ranks those full matrices. `slice`,
+`differential`, `is_cycle` and `is_boundary` always work on full matrices.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -161,23 +169,35 @@ def colex_unrank(rank: int, p: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Sparse matrices over GF(p)
 
+def _orbit_size(key: tuple[int, ...]) -> int:
+    """|S_{n+1} . alpha| = (n+1)! / prod(mult!) for alpha with sorted(alpha) == key."""
+    size = math.factorial(len(key))
+    for value in set(key):
+        size //= math.factorial(key.count(value))
+    return size
+
+
 class SparseMatrix:
     """Column-major sparse matrix of residues mod an odd prime.
 
     Invariants: one entry per (row, col); stored residues lie in [1, p-1].
     `multidegree`, when given, maps a column to the multidegree it lives in;
     the matrix must preserve it, and blocks whose multidegrees differ by a
-    permutation must have equal rank (see the module docstring).
+    permutation must have equal rank (see the module docstring). `support`,
+    when given, lists the only nonempty columns: those of a representative-only
+    differential, whose rank stands for the full one's; it serves rank only.
     """
 
     def __init__(self, rows: int, cols: int, modulus: int,
                  cols_data: list[Sequence[tuple[int, int]]],
-                 multidegree: Callable[[int], tuple[int, ...]] | None = None):
+                 multidegree: Callable[[int], tuple[int, ...]] | None = None,
+                 support: list[int] | None = None):
         self.rows = rows
         self.cols = cols
         self.modulus = modulus
         self._cols = cols_data
         self.multidegree = multidegree
+        self._support = support
         self._rank: int | None = None
         self._components: list[tuple[list[int], list[int]]] | None = None
 
@@ -209,7 +229,8 @@ class SparseMatrix:
 
         Rank is additive across components, and the differential's internal
         multigrading shows up here automatically: two columns land in one
-        component only if a chain of shared rows links them.
+        component only if a chain of shared rows links them. When `support`
+        is given, only those columns are visited.
         """
         if self._components is not None:
             return self._components
@@ -221,17 +242,18 @@ class SparseMatrix:
                 x = parent[x]
             return x
 
-        for c, col in enumerate(self._cols):
-            for r, _ in col:
+        columns = range(self.cols) if self._support is None else self._support
+        for c in columns:
+            for r, _ in self._cols[c]:
                 ra, rb = find(c), find(self.cols + r)
                 if ra != rb:
                     parent[rb] = ra
         groups: dict[int, tuple[list[int], list[int]]] = {}
-        for c, col in enumerate(self._cols):
-            if col:
+        for c in columns:
+            if self._cols[c]:
                 groups.setdefault(find(c), ([], []))[0].append(c)
-        for c, col in enumerate(self._cols):
-            for r, _ in col:
+        for c in columns:
+            for r, _ in self._cols[c]:
                 root = find(c)
                 groups[root][1].append(self.cols + r)
         comps = []
@@ -254,15 +276,20 @@ class SparseMatrix:
         return groups
 
     def rank(self) -> int:
-        """Rank over GF(modulus), eliminating one multidegree per S_{n+1} orbit."""
+        """Rank over GF(modulus), eliminating one multidegree per S_{n+1} orbit.
+
+        The first multidegree met in each orbit is eliminated and its rank is
+        counted once for every multidegree of the orbit, whether or not the
+        matrix holds their columns.
+        """
         if self._rank is None:
-            orbit_rank: dict[tuple[int, ...], int] = {}
+            seen: set[tuple[int, ...]] = set()
             total = 0
             for alpha, comps in self._degree_groups().items():
                 key = tuple(sorted(alpha))
-                if key not in orbit_rank:
-                    orbit_rank[key] = sum(self._block_rank(c, r) for c, r in comps)
-                total += orbit_rank[key]
+                if key not in seen:
+                    seen.add(key)
+                    total += _orbit_size(key) * sum(self._block_rank(c, r) for c, r in comps)
             self._rank = total
         return self._rank
 
@@ -552,23 +579,30 @@ class KoszulComplex:
     # -- assembly -------------------------------------------------------------
 
     def differential_matrix(self, p: int, k: int,
-                            field: PrimeField | None = None) -> SparseMatrix:
-        """The map wedge^p (x) A_k -> wedge^{p-1} (x) A_{k+d} as residues."""
+                            field: PrimeField | None = None, *,
+                            representatives: bool = False) -> SparseMatrix:
+        """The map wedge^p (x) A_k -> wedge^{p-1} (x) A_{k+d} as residues.
+
+        With `representatives` on the capped ring, only the columns whose
+        multidegree alpha is sorted are filled, one alpha per S_{n+1} orbit;
+        the rest stay empty. Such a matrix is good for its rank alone.
+        """
         field = field or self.field
         mod = field.modulus
         nb = self.num_generators
         src_coeffs = self.algebra.degree_basis(k)
         n_src = math.comb(nb, p) * len(src_coeffs) if 0 <= p <= nb else 0
         rows = math.comb(nb, p - 1) * self.algebra.dim(k + self.d) if p > 0 else 0
+        # every column starts as one shared empty tuple, a single pointer: a
+        # zero map has no entries, so the entry budget does not bound its
+        # columns, and a representative-only matrix leaves most columns empty
+        cols_data: list[Sequence[tuple[int, int]]] = [()] * n_src
         if n_src == 0 or rows == 0:
-            # a zero map has no entries, so the entry budget does not bound its
-            # columns; one shared empty tuple keeps each to a single pointer
-            return SparseMatrix(rows, n_src, mod, [()] * n_src)
+            return SparseMatrix(rows, n_src, mod, cols_data)
         self._budget_check(p, k)
         dst_coeffs = self.algebra.degree_basis(k + self.d)
         dst_index = {m: i for i, m in enumerate(dst_coeffs)}
         n_dst_c = len(dst_coeffs)
-        cols_data: list[list[tuple[int, int]]] = []
 
         # product expansions are shared by every wedge containing a generator
         n_src_c = len(src_coeffs)
@@ -584,14 +618,37 @@ class KoszulComplex:
                 row_g.append(terms)
             prod.append(row_g)
 
+        support = None
+        every = range(n_src_c)
+        if representatives and self.algebra.multidegree is not None:
+            # alpha = sum(F) + m is sorted iff m_i - m_{i+1} <= g_i for the gaps
+            # g_i = sum(F)_{i+1} - sum(F)_i, so the kept m depend on g alone
+            support = []
+            gen_exps = [g.exponents for g in self._gens]
+            src_drops = [tuple(map(operator.sub, m.exponents, m.exponents[1:]))
+                         for m in src_coeffs]
+            kept_by_gap: dict[tuple[int, ...], list[int]] = {}
+
         nnz = 0
         combos = wedge_basis(nb, p)
-        for combo in combos:
+        for w, combo in enumerate(combos):
+            kept = every
+            if support is not None:
+                fsum = list(map(sum, zip(*(gen_exps[i] for i in combo))))
+                gap = tuple(map(operator.sub, fsum[1:], fsum))
+                kept = kept_by_gap.get(gap)
+                if kept is None:
+                    kept = kept_by_gap[gap] = [
+                        j for j, drop in enumerate(src_drops)
+                        if all(map(operator.le, drop, gap))
+                    ]
+                if not kept:
+                    continue
             sub_ranks = []
             for t in range(p):
                 sub = combo[:t] + combo[t + 1:]
                 sub_ranks.append(colex_rank(sub) * n_dst_c)
-            for j in range(n_src_c):
+            for j in kept:
                 entries: dict[int, int] = {}
                 for t in range(p):
                     terms = prod[combo[t]][j]
@@ -613,7 +670,10 @@ class KoszulComplex:
                         f"differential at p={p}, coefficient degree {k} exceeded the "
                         f"entry budget {self.entry_budget} during assembly"
                     )
-                cols_data.append(col)
+                c = w * n_src_c + j
+                cols_data[c] = col
+                if support is not None and col:
+                    support.append(c)
 
         column_degree = None
         if self.algebra.multidegree is not None:
@@ -621,7 +681,7 @@ class KoszulComplex:
                 factors = [self._gens[i] for i in combos[c // n_src_c]]
                 return self.algebra.multidegree(factors, src_coeffs[c % n_src_c])
 
-        return SparseMatrix(rows, n_src, mod, cols_data, column_degree)
+        return SparseMatrix(rows, n_src, mod, cols_data, column_degree, support)
 
     def differential(self, p: int, q: int) -> SparseMatrix:
         """The outgoing differential of the (p, q) middle term."""
@@ -652,15 +712,22 @@ class KoszulComplex:
             return False
         return self.algebra.dim(k) > 0 and self.algebra.dim(k + self.d) > 0
 
-    def _checked_differentials(self, p: int, q: int, field: PrimeField
+    def _checked_differentials(self, p: int, q: int, field: PrimeField, *,
+                               representatives: bool = False
                                ) -> tuple[SparseMatrix | None, SparseMatrix | None]:
         """Assemble the nontrivial differentials d_p, d_{p+1} around (p, q) and
         verify d_p d_{p+1} = 0; a trivial one comes back as None.
+
+        Both are assembled in full when both are nontrivial. Otherwise there is
+        nothing to compose, and with `representatives` the one that is left
+        is assembled representative-only, for its rank.
         """
         k = self.coeff_degree(q)
-        d_p = self.differential_matrix(p, k, field) if self._nontrivial(p, k) else None
-        d_p1 = (self.differential_matrix(p + 1, k - self.d, field)
-                if self._nontrivial(p + 1, k - self.d) else None)
+        left, right = self._nontrivial(p, k), self._nontrivial(p + 1, k - self.d)
+        reps = representatives and not (left and right)
+        d_p = self.differential_matrix(p, k, field, representatives=reps) if left else None
+        d_p1 = (self.differential_matrix(p + 1, k - self.d, field, representatives=reps)
+                if right else None)
         if d_p is not None and d_p1 is not None and not d_p.compose_is_zero(d_p1):
             raise InconsistencyError(
                 f"chain condition failed at p={p}, q={q}: the composed "
@@ -676,7 +743,7 @@ class KoszulComplex:
         key = (p, k, field.modulus)
         if key not in self._raw_ranks:
             if mat is None:
-                mat = self.differential_matrix(p, k, field)
+                mat = self.differential_matrix(p, k, field, representatives=True)
             self._raw_ranks[key] = mat.rank()
         return self._raw_ranks[key]
 
@@ -691,7 +758,7 @@ class KoszulComplex:
             return 0
         d_p = d_p1 = None
         if (p, q, field.modulus) not in self._chain_checked:
-            d_p, d_p1 = self._checked_differentials(p, q, field)
+            d_p, d_p1 = self._checked_differentials(p, q, field, representatives=True)
         dim = mid - self._rank(p, k, field, d_p) - self._rank(p + 1, k - self.d, field, d_p1)
         if dim < 0:
             raise InconsistencyError(

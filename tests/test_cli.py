@@ -203,6 +203,27 @@ class TestBettiCommand:
             for i, v in enumerate(row["dims"]):
                 assert (v is None) == ((row["q"], i + doc["p_range"][0]) in skipped)
 
+    def test_budget_judges_the_full_differential(self, capsys):
+        # the oracle ranks some differentials from orbit representatives only;
+        # the budget still judges each whole differential: (dimension, estimate)
+        needs = {4: (5940, 23760), 5: (9504, 47520), 6: (11088, 66528),
+                 7: (9504, 66528), 8: (5940, 47520), 9: (2640, 23760)}
+        doc = run_json(capsys, "betti", "--n", "2", "--d", "4", "--budget", "20000")
+        expected = [
+            {"error": f"differential at wedge index p={wedge}, coefficient degree 4 needs "
+                      f"~{needs[wedge][1]} entries (dimension {needs[wedge][0]}); "
+                      f"budget is 20000",
+             "p": wedge - (q - 1), "q": q}
+            for q in (1, 2) for wedge in range(4, 10)
+        ]
+        assert doc["errors"] == expected
+        assert [row["dims"] for row in doc["rows"]] == [
+            [1] + [0] * 12,
+            [0, 75, 536, 1947] + [None] * 6 + [120, 0, 0],
+            [0, 0, 0] + [None] * 6 + [0, 55, 24, 3],
+            [0] * 13,
+        ]
+
     def test_bad_span_exits_2(self, capsys):
         code, _, err = run(capsys, "betti", "--n", "1", "--d", "3",
                            "--q-range", "2-3")

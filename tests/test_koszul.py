@@ -329,6 +329,29 @@ class TestOrbitRank:
             assert moved in groups
             assert self.degree_rank(mat, groups[moved]) == self.degree_rank(mat, groups[alpha])
 
+    @given(st.integers(1, 3), st.integers(2, 4),
+           st.sampled_from([3, 5, DEFAULT_PRIME, SECONDARY_PRIME]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_representative_matrix_matches_full(self, n, d, prime, data):
+        ring = TruncatedRing(n + 1, d)
+        nb = len(enumerate_monomials(ring, d))
+        order = data.draw(st.permutations(range(nb)))
+        cx = KoszulComplex(ring, field=prime, generator_order=order)
+        k = data.draw(st.integers(0, ring.top_degree - d))
+        small = [p for p in range(1, nb + 1)
+                 if math.comb(nb, p) * cx.algebra.dim(k) <= 3000]
+        p = data.draw(st.sampled_from(small))
+        full = cx.differential_matrix(p, k)
+        reps = cx.differential_matrix(p, k, representatives=True)
+        assert (reps.rows, reps.cols) == (full.rows, full.cols)
+        for c in range(full.cols):
+            alpha = full.multidegree(c)
+            if list(alpha) == sorted(alpha):
+                assert list(reps._cols[c]) == list(full._cols[c])
+            else:
+                assert not reps._cols[c]
+        assert reps.rank() == full.rank() == self.slow_rank(full)
+
     def test_one_elimination_per_orbit(self, monkeypatch):
         cx = KoszulComplex(TruncatedRing(3, 4))
         mat = cx.differential_matrix(5, 4)
@@ -418,6 +441,10 @@ class TestKpqDims:
             lambda: KoszulComplex(TruncatedRing(3, 2)),
             lambda: KoszulComplex(TruncatedRing(2, 3), b=1),
             lambda: KoszulComplex(hypersurface_spec(2, 2), d=2),
+            lambda: KoszulComplex(TruncatedRing(3, 3)),
+            lambda: KoszulComplex(TruncatedRing(3, 4), b=2),
+            lambda: KoszulComplex(TruncatedRing(4, 2)),
+            lambda: KoszulComplex(TruncatedRing(4, 2), b=1),
         ):
             cx = make()
             nb = cx.num_generators
@@ -570,8 +597,8 @@ class TestChainCheck:
     def broken_d2(self, monkeypatch):
         real = KoszulComplex.differential_matrix
 
-        def flip_one_sign(cx, p, k, field=None):
-            mat = real(cx, p, k, field)
+        def flip_one_sign(cx, p, k, field=None, **kwargs):
+            mat = real(cx, p, k, field, **kwargs)
             trips = list(mat.triplets())
             if p == 2 and trips:
                 r, c, v = trips[0]
@@ -592,3 +619,22 @@ class TestChainCheck:
         code = main(["betti", "--n", "2", "--d", "3", "--q-range", "1:1", "--p-range", "2:2"])
         assert code == 4
         assert "chain condition failed" in capsys.readouterr().err
+
+    def test_unsorted_multidegree_column_is_checked(self, monkeypatch):
+        # kpq_dim ranks from sorted multidegrees, but composes the full d_2
+        real = KoszulComplex.differential_matrix
+
+        def flip_unsorted(cx, p, k, field=None, **kwargs):
+            mat = real(cx, p, k, field, **kwargs)
+            if p != 2:
+                return mat
+            trips = list(mat.triplets())
+            i = next(i for i, (_, c, _) in enumerate(trips)
+                     if list(mat.multidegree(c)) != sorted(mat.multidegree(c)))
+            r, c, v = trips[i]
+            trips[i] = (r, c, -v)
+            return SparseMatrix.from_triplets(mat.rows, mat.cols, mat.modulus, trips)
+
+        monkeypatch.setattr(KoszulComplex, "differential_matrix", flip_unsorted)
+        with pytest.raises(InconsistencyError, match="chain condition failed at p=2, q=1"):
+            KoszulComplex(TruncatedRing(3, 3)).kpq_dim(2, 1)
