@@ -16,6 +16,7 @@ The default field prime comes from KPQ_PRIME when set.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -413,19 +414,22 @@ def _admissible_bq(n: int, d: int):
             q += 1
 
 
+def _complexes(n: int, d: int, prime: int, budget: int):
+    """b -> the KoszulComplex of the degree-d embedding of P^n twisted by b, built once."""
+    return functools.cache(lambda b: KoszulComplex(TruncatedRing(n + 1, d), b=b, field=prime,
+                                                   entry_budget=budget))
+
+
 def _sweep_ranges_cell(n: int, d: int, primes: list[int], budget: int) -> dict:
     cell = {"n": n, "d": d, "checked": 0, "failures": [], "boundaries": [],
             "characteristic_flags": [], "empty_intervals": [], "skipped": []}
-    complexes = {}
+    cx_for = _complexes(n, d, primes[0], budget)
     for b, q in _admissible_bq(n, d):
         report = _ranges.veronese_range_report(_ranges.VeroneseParams(n, d, b, q))
         if report.pq.empty:
             cell["empty_intervals"].append({"b": b, "q": q})
             continue
-        if b not in complexes:
-            complexes[b] = KoszulComplex(TruncatedRing(n + 1, d), b=b,
-                                         field=primes[0], entry_budget=budget)
-        cx = complexes[b]
+        cx = cx_for(b)
         s_d = report.counts.s_d
         probes = list(report.pq)
         extra = []
@@ -462,14 +466,7 @@ def _sweep_duality_cell(n: int, d: int, primes: list[int], budget: int) -> dict:
     cell = {"n": n, "d": d, "checked": 0, "failures": [], "skipped": []}
     prime = primes[0]
     s_d = truncated_dim(TruncatedRing(n + 1, d), d)
-    complexes: dict[int, KoszulComplex] = {}
-
-    def cx_for(b: int) -> KoszulComplex:
-        if b not in complexes:
-            complexes[b] = KoszulComplex(TruncatedRing(n + 1, d), b=b,
-                                         field=prime, entry_budget=budget)
-        return complexes[b]
-
+    cx_for = _complexes(n, d, prime, budget)
     for b, q in _admissible_bq(n, d):
         try:
             for p in range(s_d + 1):
@@ -495,11 +492,10 @@ def _sweep_shift_cell(n: int, d: int, primes: list[int], budget: int) -> dict:
     cell = {"n": n, "d": d, "checked": 0, "failures": [], "skipped": []}
     prime = primes[0]
     s_d = truncated_dim(TruncatedRing(n + 1, d), d)
+    # b and b - d never coincide, so the shifted side is a separate recomputation
+    cx_for = _complexes(n, d, prime, budget)
     for b, q in _admissible_bq(n, d):
-        cx = KoszulComplex(TruncatedRing(n + 1, d), b=b, field=prime,
-                           entry_budget=budget)
-        cx_shift = KoszulComplex(TruncatedRing(n + 1, d), b=b - d, field=prime,
-                                 entry_budget=budget)
+        cx, cx_shift = cx_for(b), cx_for(b - d)
         try:
             for p in range(s_d + 1):
                 dim = cx.kpq_dim(p, q)

@@ -23,18 +23,20 @@ On the capped ring every basis element (f_1 ^ ... ^ f_p) (x) m has a
 multidegree alpha = f_1 + ... + f_p + m in Z^{n+1}, and the differential
 preserves it. Permuting the variables x_0..x_n maps the alpha-block of a
 differential onto the sigma(alpha)-block by a signed permutation of rows and
-columns, so the two have the same rank over every field. `rank()` therefore
-eliminates the blocks of the first multidegree it meets in each S_{n+1} orbit
-(orbit key: sorted(alpha)) and counts that rank |S_{n+1} . alpha| =
-(n+1)! / prod(mult!) times. ACM rings have no such grading (the Fermat
-relation is not multigraded), so there every block is eliminated, once.
+columns, so the two have the same rank over every field. This orbit rule
+lives in `KoszulComplex.differential_matrix` alone: it gives each column the
+block weight |S_{n+1} . alpha| = (n+1)! / prod(mult!) when alpha is sorted
+(nondecreasing) and 0 otherwise, and `SparseMatrix.rank()` adds up weight
+times rank over the blocks, skipping those of weight 0. A differential that
+`kpq_dim` assembles only for its rank fills just the sorted-alpha columns;
+both kinds of matrix have the same rank. ACM rings have no such grading (the
+Fermat relation is not multigraded), so their matrices carry no weight and
+every block counts once.
 
-A differential that `kpq_dim` assembles only for its rank is therefore
-representative-only: just the columns with sorted alpha, one alpha per orbit,
-are filled, and only they are split into blocks. Where `kpq_dim` first visits
-a cell whose two differentials are both nontrivial, it assembles both in full,
-checks that they compose to zero, and ranks those full matrices. `slice`,
-`differential`, `is_cycle` and `is_boundary` always work on full matrices.
+Where `kpq_dim` first visits a cell whose two differentials are both
+nontrivial, it assembles both in full, checks that they compose to zero, and
+ranks those full matrices. `slice`, `differential`, `is_cycle` and
+`is_boundary` always work on full matrices.
 """
 
 from __future__ import annotations
@@ -181,23 +183,22 @@ class SparseMatrix:
     """Column-major sparse matrix of residues mod an odd prime.
 
     Invariants: one entry per (row, col); stored residues lie in [1, p-1].
-    `multidegree`, when given, maps a column to the multidegree it lives in;
-    the matrix must preserve it, and blocks whose multidegrees differ by a
-    permutation must have equal rank (see the module docstring). `support`,
-    when given, lists the only nonempty columns: those of a representative-only
-    differential, whose rank stands for the full one's; it serves rank only.
+    `weight`, when given, maps a column to how many times the rank of its
+    block counts in `rank()`; a block of weight 0 is not eliminated, and
+    without a weight every block counts once. The Veronese differentials carry
+    |S_{n+1} . alpha| on sorted multidegrees alpha and 0 elsewhere, so a
+    representative-only differential, filled on the sorted-alpha columns
+    alone, has the rank of the full one (see the module docstring).
     """
 
     def __init__(self, rows: int, cols: int, modulus: int,
                  cols_data: list[Sequence[tuple[int, int]]],
-                 multidegree: Callable[[int], tuple[int, ...]] | None = None,
-                 support: list[int] | None = None):
+                 weight: Callable[[int], int] | None = None):
         self.rows = rows
         self.cols = cols
         self.modulus = modulus
         self._cols = cols_data
-        self.multidegree = multidegree
-        self._support = support
+        self.weight = weight
         self._rank: int | None = None
         self._components: list[tuple[list[int], list[int]]] | None = None
 
@@ -229,8 +230,8 @@ class SparseMatrix:
 
         Rank is additive across components, and the differential's internal
         multigrading shows up here automatically: two columns land in one
-        component only if a chain of shared rows links them. When `support`
-        is given, only those columns are visited.
+        component only if a chain of shared rows links them. Only nonempty
+        columns are visited.
         """
         if self._components is not None:
             return self._components
@@ -242,54 +243,29 @@ class SparseMatrix:
                 x = parent[x]
             return x
 
-        columns = range(self.cols) if self._support is None else self._support
+        columns = [c for c, col in enumerate(self._cols) if col]
         for c in columns:
             for r, _ in self._cols[c]:
                 ra, rb = find(c), find(self.cols + r)
                 if ra != rb:
                     parent[rb] = ra
-        groups: dict[int, tuple[list[int], list[int]]] = {}
+        groups: dict[int, tuple[list[int], set[int]]] = {}
         for c in columns:
-            if self._cols[c]:
-                groups.setdefault(find(c), ([], []))[0].append(c)
-        for c in columns:
-            for r, _ in self._cols[c]:
-                root = find(c)
-                groups[root][1].append(self.cols + r)
-        comps = []
-        for cols_g, rows_g in groups.values():
-            rows_sorted = sorted({r - self.cols for r in rows_g})
-            comps.append((cols_g, rows_sorted))
-        self._components = comps
-        return comps
-
-    def _degree_groups(self) -> dict[tuple[int, ...], list[tuple[list[int], list[int]]]]:
-        """Components grouped by the multidegree of their columns.
-
-        Without a multidegree, each component is its own group, keyed by its
-        first column.
-        """
-        degree = self.multidegree or (lambda c: (c,))
-        groups: dict[tuple[int, ...], list[tuple[list[int], list[int]]]] = {}
-        for comp in self._component_split():
-            groups.setdefault(degree(comp[0][0]), []).append(comp)
-        return groups
+            cols_g, rows_g = groups.setdefault(find(c), ([], set()))
+            cols_g.append(c)
+            rows_g.update(r for r, _ in self._cols[c])
+        self._components = [(cols_g, sorted(rows_g)) for cols_g, rows_g in groups.values()]
+        return self._components
 
     def rank(self) -> int:
-        """Rank over GF(modulus), eliminating one multidegree per S_{n+1} orbit.
-
-        The first multidegree met in each orbit is eliminated and its rank is
-        counted once for every multidegree of the orbit, whether or not the
-        matrix holds their columns.
-        """
+        """Rank over GF(modulus): weight times rank, summed over the blocks."""
         if self._rank is None:
-            seen: set[tuple[int, ...]] = set()
+            weight = self.weight or (lambda c: 1)
             total = 0
-            for alpha, comps in self._degree_groups().items():
-                key = tuple(sorted(alpha))
-                if key not in seen:
-                    seen.add(key)
-                    total += _orbit_size(key) * sum(self._block_rank(c, r) for c, r in comps)
+            for cols_g, rows_g in self._component_split():
+                times = weight(cols_g[0])
+                if times:
+                    total += times * self._block_rank(cols_g, rows_g)
             self._rank = total
         return self._rank
 
@@ -557,15 +533,6 @@ class KoszulComplex:
         k = self.coeff_degree(q)
         return math.comb(self.num_generators, p) * self.algebra.dim(k) if 0 <= p else 0
 
-    def middle_basis(self, p: int, q: int) -> list[tuple[tuple[int, ...], object]]:
-        """Frozen middle basis: wedge-major over colex tuples, then coefficients."""
-        coeffs = self.algebra.degree_basis(self.coeff_degree(q))
-        out = []
-        for combo in wedge_basis(self.num_generators, p):
-            for mono in coeffs:
-                out.append((combo, mono))
-        return out
-
     def _budget_check(self, p: int, k: int) -> None:
         dim_mid = math.comb(self.num_generators, p) * self.algebra.dim(k)
         est = dim_mid * max(p, 1) * self.algebra.max_terms
@@ -583,9 +550,10 @@ class KoszulComplex:
                             representatives: bool = False) -> SparseMatrix:
         """The map wedge^p (x) A_k -> wedge^{p-1} (x) A_{k+d} as residues.
 
-        With `representatives` on the capped ring, only the columns whose
-        multidegree alpha is sorted are filled, one alpha per S_{n+1} orbit;
-        the rest stay empty. Such a matrix is good for its rank alone.
+        On the capped ring, column c carries the block weight |S_{n+1} . alpha|
+        when its multidegree alpha is sorted and 0 otherwise. With
+        `representatives` there, only the sorted-alpha columns are filled and
+        the rest stay empty; such a matrix is good for its rank alone.
         """
         field = field or self.field
         mod = field.modulus
@@ -618,22 +586,21 @@ class KoszulComplex:
                 row_g.append(terms)
             prod.append(row_g)
 
-        support = None
         every = range(n_src_c)
+        kept_by_gap: dict[tuple[int, ...], list[int]] | None = None
         if representatives and self.algebra.multidegree is not None:
             # alpha = sum(F) + m is sorted iff m_i - m_{i+1} <= g_i for the gaps
             # g_i = sum(F)_{i+1} - sum(F)_i, so the kept m depend on g alone
-            support = []
+            kept_by_gap = {}
             gen_exps = [g.exponents for g in self._gens]
             src_drops = [tuple(map(operator.sub, m.exponents, m.exponents[1:]))
                          for m in src_coeffs]
-            kept_by_gap: dict[tuple[int, ...], list[int]] = {}
 
         nnz = 0
         combos = wedge_basis(nb, p)
         for w, combo in enumerate(combos):
             kept = every
-            if support is not None:
+            if kept_by_gap is not None:
                 fsum = list(map(sum, zip(*(gen_exps[i] for i in combo))))
                 gap = tuple(map(operator.sub, fsum[1:], fsum))
                 kept = kept_by_gap.get(gap)
@@ -670,18 +637,16 @@ class KoszulComplex:
                         f"differential at p={p}, coefficient degree {k} exceeded the "
                         f"entry budget {self.entry_budget} during assembly"
                     )
-                c = w * n_src_c + j
-                cols_data[c] = col
-                if support is not None and col:
-                    support.append(c)
+                cols_data[w * n_src_c + j] = col
 
-        column_degree = None
+        weight = None
         if self.algebra.multidegree is not None:
-            def column_degree(c: int) -> tuple[int, ...]:
+            def weight(c: int) -> int:
                 factors = [self._gens[i] for i in combos[c // n_src_c]]
-                return self.algebra.multidegree(factors, src_coeffs[c % n_src_c])
+                alpha = self.algebra.multidegree(factors, src_coeffs[c % n_src_c])
+                return _orbit_size(alpha) if all(map(operator.le, alpha, alpha[1:])) else 0
 
-        return SparseMatrix(rows, n_src, mod, cols_data, column_degree, support)
+        return SparseMatrix(rows, n_src, mod, cols_data, weight)
 
     def differential(self, p: int, q: int) -> SparseMatrix:
         """The outgoing differential of the (p, q) middle term."""
@@ -712,27 +677,23 @@ class KoszulComplex:
             return False
         return self.algebra.dim(k) > 0 and self.algebra.dim(k + self.d) > 0
 
-    def _checked_differentials(self, p: int, q: int, field: PrimeField, *,
-                               representatives: bool = False
+    def _checked_differentials(self, p: int, q: int, field: PrimeField
                                ) -> tuple[SparseMatrix | None, SparseMatrix | None]:
-        """Assemble the nontrivial differentials d_p, d_{p+1} around (p, q) and
-        verify d_p d_{p+1} = 0; a trivial one comes back as None.
+        """Verify d_p d_{p+1} = 0 around (p, q) and record the cell as checked.
 
-        Both are assembled in full when both are nontrivial. Otherwise there is
-        nothing to compose, and with `representatives` the one that is left
-        is assembled representative-only, for its rank.
+        When both differentials are nontrivial they come back assembled in
+        full; otherwise there is nothing to compose, and both come back None.
         """
         k = self.coeff_degree(q)
-        left, right = self._nontrivial(p, k), self._nontrivial(p + 1, k - self.d)
-        reps = representatives and not (left and right)
-        d_p = self.differential_matrix(p, k, field, representatives=reps) if left else None
-        d_p1 = (self.differential_matrix(p + 1, k - self.d, field, representatives=reps)
-                if right else None)
-        if d_p is not None and d_p1 is not None and not d_p.compose_is_zero(d_p1):
-            raise InconsistencyError(
-                f"chain condition failed at p={p}, q={q}: the composed "
-                f"differentials are nonzero mod {field.modulus}"
-            )
+        d_p = d_p1 = None
+        if self._nontrivial(p, k) and self._nontrivial(p + 1, k - self.d):
+            d_p = self.differential_matrix(p, k, field)
+            d_p1 = self.differential_matrix(p + 1, k - self.d, field)
+            if not d_p.compose_is_zero(d_p1):
+                raise InconsistencyError(
+                    f"chain condition failed at p={p}, q={q}: the composed "
+                    f"differentials are nonzero mod {field.modulus}"
+                )
         self._chain_checked.add((p, q, field.modulus))
         return d_p, d_p1
 
@@ -758,7 +719,7 @@ class KoszulComplex:
             return 0
         d_p = d_p1 = None
         if (p, q, field.modulus) not in self._chain_checked:
-            d_p, d_p1 = self._checked_differentials(p, q, field, representatives=True)
+            d_p, d_p1 = self._checked_differentials(p, q, field)
         dim = mid - self._rank(p, k, field, d_p) - self._rank(p + 1, k - self.d, field, d_p1)
         if dim < 0:
             raise InconsistencyError(

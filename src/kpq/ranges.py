@@ -113,9 +113,7 @@ def veronese_range_report(params: VeroneseParams) -> VeroneseRangeReport:
         )
     n, d, b, q = params.n, params.d, params.b, params.q
     m, r = quot_rem_by_dm1(q, d, b)
-    lo_closed = binom(m + d, m) - binom(m + d - r - 1, m) - m
-    hi_closed = (binom(n + d, n) + binom(n - m + r, r)
-                 - binom(n - m + d, d) - m - 1)
+    lo_closed, hi_closed = _witness.closed_forms(n, d, m, r)
     if q * d + b > (n + 1) * (d - 1):
         pq = PQRange(lo_closed, hi_closed)
         if not pq.empty:
@@ -210,7 +208,7 @@ def acm_range(spec: _acm.ACMSpec, d: int, b: int, q: int) -> PQRange:
     deg_x = spec.deg_x
     if q == 0:
         return PQRange(0, inv.r_d_prime - (d - b) * binom(n - 1 + d, n - 1))
-    lo = deg_x * (q + b + 1) * binom(d + q - 1, q - 1)
+    lo = _witness.acm_e_bounds(spec, d, q, b)[0]
     if q == n:
         return PQRange(lo, inv.r_d_prime - deg_x)
     return PQRange(lo, inv.r_d_prime - deg_x * (d - q - b) * binom(d + n - q - 1, n - q - 1))
@@ -229,9 +227,7 @@ def acm_range_improved(spec: _acm.ACMSpec, d: int, b: int, q: int) -> PQRange:
         raise ParameterError(
             f"the refined lower endpoint needs q in [1, {spec.n - 1}], got {q}"
         )
-    lo = ((spec.deg_x - 1) * (q + b + 1) * binom(q - 1 + d - 1, q - 1)
-          + binom(q + d, q) - binom(d - b - 1, q) - q)
-    return PQRange(lo, acm_range(spec, d, b, q).hi)
+    return PQRange(_witness.acm_e_bounds(spec, d, q, b)[1], acm_range(spec, d, b, q).hi)
 
 
 @dataclass(frozen=True, slots=True)

@@ -92,6 +92,13 @@ class CountFormulas:
                 and self.annihilator_count == self.annihilator_closed_form)
 
 
+def closed_forms(n: int, d: int, m: int, r: int) -> tuple[int, int]:
+    """Binomial forms of (|D_f|, |Z_f|) at q*d + b = m*(d-1) + r, also past the top degree."""
+    divisor = binom(m + d, m) - binom(m + d - r - 1, m) - m
+    annihilator = binom(n + d, n) + binom(n - m + r, r) - binom(n - m + d, d) - m - 1
+    return divisor, annihilator
+
+
 def count_formulas(n: int, d: int, q: int, b: int) -> CountFormulas:
     """Count |D_f| and |Z_f| for the leftmost witness monomial.
 
@@ -122,9 +129,7 @@ def count_formulas(n: int, d: int, q: int, b: int) -> CountFormulas:
                     + truncated_dim(t_ring, 0))
     annihilators = s_d - z_complement
 
-    divisor_closed = binom(m + d, m) - binom(m + d - r - 1, m) - m
-    annihilator_closed = (binom(n + d, n) + binom(n - m + r, r)
-                          - binom(n - m + d, d) - m - 1)
+    divisor_closed, annihilator_closed = closed_forms(n, d, m, r)
     return CountFormulas(
         n=n, d=d, q=q, b=b, m=m, r=r, s_d=s_d,
         divisor_count=divisors,
@@ -304,6 +309,15 @@ class ESetReport:
         return self.bound_refined is None or self.count <= self.bound_refined
 
 
+def acm_e_bounds(spec: _acm.ACMSpec, d: int, q: int, b: int) -> tuple[int, int | None]:
+    """The coarse and refined closed-form bounds on |E_f|; the refined one needs q in [1, n-1]."""
+    coarse = spec.deg_x * (q + b + 1) * binom(q - 1 + d, q - 1)
+    if not 1 <= q <= spec.n - 1:
+        return coarse, None
+    return coarse, ((spec.deg_x - 1) * (q + b + 1) * binom(q - 1 + d - 1, q - 1)
+                    + binom(q + d, q) - binom(d - b - 1, q) - q)
+
+
 def acm_e_set(spec: _acm.ACMSpec, d: int, q: int, b: int) -> ESetReport:
     """Enumerate E_f for the leftmost f of degree q*d + b, with its size bounds."""
     n = spec.n
@@ -321,11 +335,7 @@ def acm_e_set(spec: _acm.ACMSpec, d: int, q: int, b: int) -> ESetReport:
         caps = tuple(e + 1 for e in f.exponents)
         dims = tuple(mixed_cap_dim(caps, d - k) for k in spec.lambda_degrees)
         total = sum(dims)
-    coarse = spec.deg_x * (q + b + 1) * binom(q - 1 + d, q - 1)
-    refined = None
-    if 1 <= q <= n - 1:
-        refined = ((spec.deg_x - 1) * (q + b + 1) * binom(q - 1 + d - 1, q - 1)
-                   + binom(q + d, q) - binom(d - b - 1, q) - q)
+    coarse, refined = acm_e_bounds(spec, d, q, b)
     return ESetReport(
         monomials=tuple(out),
         count=len(out),

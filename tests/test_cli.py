@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kpq.acm import hypersurface_spec, save_spec, spec_to_json
+from kpq import cli
 from kpq.cli import main, parse_grid
 from kpq.errors import ParameterError
 from kpq.koszul import SparseMatrix
@@ -300,6 +301,20 @@ class TestSweepCommand:
     def test_shift_sweep(self, capsys):
         doc = run_json(capsys, "sweep", "--check", "shift", "--grid", "tiny")
         assert doc["verdict"] == "pass"
+
+    def test_shift_sweep_builds_one_complex_per_twist(self, capsys, monkeypatch):
+        built = []
+
+        class Counting(cli.KoszulComplex):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs["b"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "KoszulComplex", Counting)
+        doc = run_json(capsys, "sweep", "--check", "shift", "--grid", "n=1,d=3")
+        assert doc["verdict"] == "pass"
+        # b = 0, 1, 2 and their shifts b - 3, each built once for both q
+        assert sorted(built) == [-3, -2, -1, 0, 1, 2]
 
     def test_asymptotics_sweep(self, capsys):
         doc = run_json(capsys, "sweep", "--check", "asymptotics", "--grid",

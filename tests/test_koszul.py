@@ -68,6 +68,20 @@ def product_mod(a, b, p):
     return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
 
 
+def alpha(cx, p, k, c):
+    """Multidegree of column c of the capped-ring differential leaving wedge^p (x) A_k."""
+    coeffs = cx.algebra.degree_basis(k)
+    combo = wedge_basis(cx.num_generators, p)[c // len(coeffs)]
+    exps = [cx._gens[i].exponents for i in combo] + [coeffs[c % len(coeffs)].exponents]
+    return tuple(map(sum, zip(*exps)))
+
+
+def plain_rank(mat):
+    """Rank of a matrix rebuilt without its block weights: every block counts once."""
+    bare = SparseMatrix(mat.rows, mat.cols, mat.modulus, mat._cols)
+    return sum(bare._block_rank(c, r) for c, r in bare._component_split())
+
+
 class TestPrimeField:
     def test_accepts_odd_primes(self):
         assert PrimeField(32003).modulus == 32003
@@ -319,15 +333,17 @@ class TestOrbitRank:
         mat = cx.differential_matrix(p, k)
         assert mat.rank() == self.slow_rank(mat)
 
-        groups = mat._degree_groups()
-        for alpha, comps in groups.items():
-            assert all(mat.multidegree(c) == alpha for cols, _ in comps for c in cols)
+        groups = {}
+        for comp in mat._component_split():
+            degrees = {alpha(cx, p, k, c) for c in comp[0]}
+            assert len(degrees) == 1
+            groups.setdefault(degrees.pop(), []).append(comp)
         if groups:
-            alpha = data.draw(st.sampled_from(sorted(groups)))
+            a = data.draw(st.sampled_from(sorted(groups)))
             sigma = data.draw(st.permutations(range(n + 1)))
-            moved = tuple(alpha[i] for i in sigma)
+            moved = tuple(a[i] for i in sigma)
             assert moved in groups
-            assert self.degree_rank(mat, groups[moved]) == self.degree_rank(mat, groups[alpha])
+            assert self.degree_rank(mat, groups[moved]) == self.degree_rank(mat, groups[a])
 
     @given(st.integers(1, 3), st.integers(2, 4),
            st.sampled_from([3, 5, DEFAULT_PRIME, SECONDARY_PRIME]), st.data())
@@ -345,8 +361,8 @@ class TestOrbitRank:
         reps = cx.differential_matrix(p, k, representatives=True)
         assert (reps.rows, reps.cols) == (full.rows, full.cols)
         for c in range(full.cols):
-            alpha = full.multidegree(c)
-            if list(alpha) == sorted(alpha):
+            a = alpha(cx, p, k, c)
+            if list(a) == sorted(a):
                 assert list(reps._cols[c]) == list(full._cols[c])
             else:
                 assert not reps._cols[c]
@@ -355,26 +371,29 @@ class TestOrbitRank:
     def test_one_elimination_per_orbit(self, monkeypatch):
         cx = KoszulComplex(TruncatedRing(3, 4))
         mat = cx.differential_matrix(5, 4)
-        groups = mat._degree_groups()
-        orbits = {tuple(sorted(alpha)) for alpha in groups}
-        assert len(orbits) < len(groups)
-        firsts = {}
-        for alpha, comps in groups.items():
-            firsts.setdefault(tuple(sorted(alpha)), len(comps))
+        degrees = [alpha(cx, 5, 4, cols[0]) for cols, _ in mat._component_split()]
+        orbits = {tuple(sorted(a)) for a in degrees}
+        assert len(orbits) < len(set(degrees))
+        sorted_components = sum(list(a) == sorted(a) for a in degrees)
         slow = self.slow_rank(mat)
         calls = []
         real = koszul._dense_rank_mod
         monkeypatch.setattr(koszul, "_dense_rank_mod",
                             lambda block, p: calls.append(block.shape) or real(block, p))
         assert mat.rank() == slow
-        assert len(calls) == sum(firsts.values()) < len(mat._component_split())
+        assert len(calls) == sorted_components < len(mat._component_split())
 
-    def test_acm_blocks_are_not_merged(self):
+    def test_acm_blocks_are_not_merged(self, monkeypatch):
         cx = KoszulComplex(hypersurface_spec(2, 2), d=2)
         mat = cx.differential_matrix(2, 2)
-        assert mat.multidegree is None
-        assert len(mat._degree_groups()) == len(mat._component_split())
-        assert mat.rank() == self.slow_rank(mat)
+        assert mat.weight is None
+        slow = self.slow_rank(mat)
+        calls = []
+        real = koszul._dense_rank_mod
+        monkeypatch.setattr(koszul, "_dense_rank_mod",
+                            lambda block, p: calls.append(block.shape) or real(block, p))
+        assert mat.rank() == slow
+        assert len(calls) == len(mat._component_split())
 
 
 class TestKpqDims:
@@ -452,6 +471,26 @@ class TestKpqDims:
                 mid = sum((-1) ** p * cx.middle_dim(p, t - p) for p in range(nb + 1))
                 hom = sum((-1) ** p * cx.kpq_dim(p, t - p) for p in range(nb + 1))
                 assert mid == hom, f"strand {t}"
+
+    @given(st.integers(1, 3), st.integers(2, 4),
+           st.sampled_from([3, 5, DEFAULT_PRIME, SECONDARY_PRIME]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_kpq_dim_matches_plain_ranks(self, n, d, prime, data):
+        # the strand Euler sums cancel every rank; this referee sees the orbit weights
+        ring = TruncatedRing(n + 1, d)
+        nb = len(enumerate_monomials(ring, d))
+        order = data.draw(st.permutations(range(nb)))
+        b = data.draw(st.integers(0, d - 1))
+        cx = KoszulComplex(ring, b=b, field=prime, generator_order=order)
+        small = [(p, q) for q in range((ring.top_degree - b) // d + 1)
+                 for p in range(nb + 1)
+                 if 0 < cx.middle_dim(p, q) <= 3000 and cx.middle_dim(p + 1, q - 1) <= 3000]
+        cells = data.draw(st.lists(st.sampled_from(small), min_size=1, max_size=3, unique=True))
+        for p, q in cells:
+            k = cx.coeff_degree(q)
+            expected = (cx.middle_dim(p, q) - plain_rank(cx.differential_matrix(p, k))
+                        - plain_rank(cx.differential_matrix(p + 1, k - d)))
+            assert cx.kpq_dim(p, q) == expected, (p, q)
 
 
 class TestACMOracle:
@@ -630,7 +669,7 @@ class TestChainCheck:
                 return mat
             trips = list(mat.triplets())
             i = next(i for i, (_, c, _) in enumerate(trips)
-                     if list(mat.multidegree(c)) != sorted(mat.multidegree(c)))
+                     if list(alpha(cx, p, k, c)) != sorted(alpha(cx, p, k, c)))
             r, c, v = trips[i]
             trips[i] = (r, c, -v)
             return SparseMatrix.from_triplets(mat.rows, mat.cols, mat.modulus, trips)
