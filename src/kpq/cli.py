@@ -337,11 +337,14 @@ def cmd_betti(args: argparse.Namespace, cfg: RunConfig) -> dict:
         dims: list[int | None] = []
         for p in range(p_lo, p_hi + 1):
             try:
-                dim = cx.kpq_dim(p, q)
                 if dump_dir:
-                    mat = cx.differential(p, q)
+                    # write the d_p the chain check assembled, where it did
+                    dim, mat = cx._dim_and_checked_d_p(p, q)
+                    mat = mat or cx.differential(p, q)
                     name = f"dp_b{args.b}_q{q}_p{p}.txt"
                     (dump_dir / name).write_text(mat.to_triplet_text())
+                else:
+                    dim = cx.kpq_dim(p, q)
             except ResourceLimitError as exc:
                 dim = None
                 errors.append({"q": q, "p": p, "error": str(exc)})

@@ -11,6 +11,18 @@ does not change these homology groups, which is what makes the finite model
 exact. The differential removes one wedge factor at a time and multiplies it
 into the coefficient, with sign (-1)^{i+1} on the i-th factor.
 
+A differential is assembled from a product table, built once per coefficient
+degree k and modulus from the algebra's `multiply`: generator x basis element
+of A_k -> residues on the basis of A_{k+d}, with repeated labels merged. One
+with at least _ARRAY_PATH_MIN_ENTRIES estimated entries, comb(nb, p) * dim A_k
+* p, is gathered from that table in numpy, a bounded chunk of wedges at a
+time: the ranks of the sub-wedges come from prefix and suffix sums over a
+binomial table, and one `np.flatnonzero` over a (wedge, coefficient, removed
+position, term) array lists the entries in column order, rows ascending.
+Below that size the fixed cost of those numpy calls is more than the whole
+job, so a per-column loop reads the same table; the tests hold the two paths
+to identical columns. Neither path holds a wedge array past its call.
+
 All linear algebra is exact over GF(p). Matrices are sparse and decompose
 into blocks along the connected components of their row/column incidence
 graph (the complex's internal multigrading, discovered by union-find); each
@@ -24,14 +36,15 @@ multidegree alpha = f_1 + ... + f_p + m in Z^{n+1}, and the differential
 preserves it. Permuting the variables x_0..x_n maps the alpha-block of a
 differential onto the sigma(alpha)-block by a signed permutation of rows and
 columns, so the two have the same rank over every field. This orbit rule
-lives in `KoszulComplex.differential_matrix` alone: it gives each column the
-block weight |S_{n+1} . alpha| = (n+1)! / prod(mult!) when alpha is sorted
-(nondecreasing) and 0 otherwise, and `SparseMatrix.rank()` adds up weight
-times rank over the blocks, skipping those of weight 0. A differential that
-`kpq_dim` assembles only for its rank fills just the sorted-alpha columns;
-both kinds of matrix have the same rank. ACM rings have no such grading (the
-Fermat relation is not multigraded), so their matrices carry no weight and
-every block counts once.
+is written once, in `_ProductTable.wedge_weights`: each column gets the block
+weight |S_{n+1} . alpha| = (n+1)! / prod(mult!) when alpha is sorted
+(nondecreasing) and 0 otherwise. `KoszulComplex._weights` lists it for every
+column of a differential, once per matrix, and `SparseMatrix.rank()` splits
+only the columns of nonzero weight and adds up weight times rank over those
+blocks. A differential that `kpq_dim` assembles only for its rank fills just
+the columns of nonzero weight, in either path; both kinds of matrix have the
+same rank. ACM rings have no such grading (the Fermat relation is not
+multigraded), so their matrices carry no weight and every block counts once.
 
 Where `kpq_dim` first visits a cell whose two differentials are both
 nontrivial, it assembles both in full, checks that they compose to zero, and
@@ -41,6 +54,8 @@ ranks those full matrices. `slice`, `differential`, `is_cycle` and
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -55,6 +70,14 @@ from .errors import InconsistencyError, ParameterError, ResourceLimitError
 DEFAULT_PRIME = 32003
 SECONDARY_PRIME = 1000003
 DEFAULT_ENTRY_BUDGET = 20_000_000
+
+# A differential with fewer than this many estimated entries,
+# comb(nb, p) * dim(k) * p, is assembled column by column: below it the fixed
+# cost of the numpy calls of the array path is more than the whole loop.
+_ARRAY_PATH_MIN_ENTRIES = 400
+# Largest number of (wedge, coefficient, position, term) cells in one chunk
+# of the array path, so its temporaries stay a few MB whatever the matrix.
+_CHUNK_CELLS = 1 << 13
 
 _INT64_MAX = 2**63 - 1
 # Largest modulus for which (p-1)^2, a product of two residues, fits in int64.
@@ -123,13 +146,20 @@ _WEDGE_CACHE: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
 _WEDGE_CACHE_LIMIT = 300_000
 
 
-def _colex_combos(nb: int, p: int):
-    if p == 0:
-        yield ()
-        return
-    for top in range(p - 1, nb):
-        for rest in _colex_combos(top, p - 1):
-            yield rest + (top,)
+def _colex_array(nb: int, p: int) -> np.ndarray:
+    """The strictly increasing p-tuples of range(nb) in colex order, as a
+    (comb(nb, p), p) array, for 0 <= p <= nb.
+
+    Built one position at a time: the i-tuples with top element t are the
+    (i-1)-tuples below t, a colex prefix of the previous level, followed by t.
+    """
+    combos = np.zeros((1, 0), dtype=np.intp)
+    for i in range(1, p + 1):
+        tops = np.arange(i - 1, nb - p + i)
+        counts = np.array([math.comb(t, i - 1) for t in tops.tolist()])
+        prefix = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        combos = np.column_stack((combos[prefix], np.repeat(tops, counts)))
+    return combos
 
 
 def wedge_basis(nb: int, p: int) -> list[tuple[int, ...]]:
@@ -144,7 +174,10 @@ def wedge_basis(nb: int, p: int) -> list[tuple[int, ...]]:
     key = (nb, p)
     cached = _WEDGE_CACHE.get(key)
     if cached is None:
-        cached = tuple(_colex_combos(nb, p))
+        # lex order over the elements taken in descending order is colex
+        # order reversed, with each tuple reversed
+        descending = itertools.combinations(range(nb - 1, -1, -1), p)
+        cached = tuple(combo[::-1] for combo in descending)[::-1]
         if len(cached) <= _WEDGE_CACHE_LIMIT:
             _WEDGE_CACHE[key] = cached
     return list(cached)
@@ -168,6 +201,31 @@ def colex_unrank(rank: int, p: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
+def _binomial_table(nb: int, p: int) -> np.ndarray:
+    """C(c, i) for c < nb and i <= p, with 0 where c - i > nb - p.
+
+    Those are the cells `_sub_wedge_ranks` never reads; every cell it reads is
+    at most C(nb, p), so the table fits in int64.
+    """
+    return np.array([[math.comb(c, i) if c - i <= nb - p else 0 for i in range(p + 1)]
+                     for c in range(nb)], dtype=np.int64)
+
+
+def _sub_wedge_ranks(combos: np.ndarray, binom: np.ndarray) -> np.ndarray:
+    """colex_rank of each combo with its t-th element removed, as a (W, p) array.
+
+    Elements before t keep their position i and add C(c_i, i+1); those after t
+    move down to i-1 and add C(c_i, i). `binom` is `_binomial_table(nb, p)`:
+    every binomial read there has c_i - i at most nb - p.
+    """
+    p = combos.shape[1]
+    up = binom[combos, np.arange(1, p + 1)]
+    down = binom[combos, np.arange(p)]
+    before = np.cumsum(up, axis=1) - up
+    after = np.cumsum(down[:, ::-1], axis=1)[:, ::-1] - down
+    return before + after
+
+
 # ---------------------------------------------------------------------------
 # Sparse matrices over GF(p)
 
@@ -184,8 +242,9 @@ class SparseMatrix:
 
     Invariants: one entry per (row, col); stored residues lie in [1, p-1].
     `weight`, when given, maps a column to how many times the rank of its
-    block counts in `rank()`; a block of weight 0 is not eliminated, and
-    without a weight every block counts once. The Veronese differentials carry
+    block counts in `rank()`; it must be constant on every block, a block of
+    weight 0 is neither split nor eliminated by `rank()`, and without a
+    weight every block counts once. The Veronese differentials carry
     |S_{n+1} . alpha| on sorted multidegrees alpha and 0 elsewhere, so a
     representative-only differential, filled on the sorted-alpha columns
     alone, has the rank of the full one (see the module docstring).
@@ -225,15 +284,17 @@ class SparseMatrix:
 
     # -- block decomposition ------------------------------------------------
 
-    def _component_split(self) -> list[tuple[list[int], list[int]]]:
+    def _component_split(self, columns: Sequence[int] | None = None
+                         ) -> list[tuple[list[int], list[int]]]:
         """Connected components of the bipartite row/column graph.
 
         Rank is additive across components, and the differential's internal
         multigrading shows up here automatically: two columns land in one
         component only if a chain of shared rows links them. Only nonempty
-        columns are visited.
+        columns are visited, and only those in `columns` when it is given;
+        the split of every nonempty column is cached.
         """
-        if self._components is not None:
+        if columns is None and self._components is not None:
             return self._components
         parent = list(range(self.cols + self.rows))
 
@@ -243,7 +304,8 @@ class SparseMatrix:
                 x = parent[x]
             return x
 
-        columns = [c for c, col in enumerate(self._cols) if col]
+        full = columns is None
+        columns = [c for c in (range(self.cols) if full else columns) if self._cols[c]]
         for c in columns:
             for r, _ in self._cols[c]:
                 ra, rb = find(c), find(self.cols + r)
@@ -254,19 +316,25 @@ class SparseMatrix:
             cols_g, rows_g = groups.setdefault(find(c), ([], set()))
             cols_g.append(c)
             rows_g.update(r for r, _ in self._cols[c])
-        self._components = [(cols_g, sorted(rows_g)) for cols_g, rows_g in groups.values()]
-        return self._components
+        components = [(cols_g, sorted(rows_g)) for cols_g, rows_g in groups.values()]
+        if full:
+            self._components = components
+        return components
 
     def rank(self) -> int:
-        """Rank over GF(modulus): weight times rank, summed over the blocks."""
+        """Rank over GF(modulus): weight times rank, summed over the blocks.
+
+        With a weight, only the columns of nonzero weight are split: the
+        weights of a differential are constant on each component (they depend
+        on the multidegree alone), so this drops whole weight-0 blocks and
+        leaves every other block as it is.
+        """
         if self._rank is None:
-            weight = self.weight or (lambda c: 1)
-            total = 0
-            for cols_g, rows_g in self._component_split():
-                times = weight(cols_g[0])
-                if times:
-                    total += times * self._block_rank(cols_g, rows_g)
-            self._rank = total
+            weight = self.weight
+            columns = weight and [c for c, col in enumerate(self._cols) if col and weight(c)]
+            self._rank = sum((weight(cols_g[0]) if weight else 1)
+                             * self._block_rank(cols_g, rows_g)
+                             for cols_g, rows_g in self._component_split(columns))
         return self._rank
 
     def _block_rank(self, cols_g: list[int], rows_g: list[int],
@@ -398,6 +466,9 @@ def _dense_rank_mod(block: np.ndarray, p: int) -> int:
 class TruncatedAlgebra:
     """The capped ring on x_0..x_n as a coefficient algebra."""
 
+    # (f_1 ^ ... ^ f_p) (x) m has the multidegree f_1 + ... + f_p + m
+    multigraded = True
+
     def __init__(self, ring: TruncatedRing):
         if ring.cap < 2:
             raise ParameterError("cap must be >= 2 for a nontrivial complex")
@@ -423,17 +494,12 @@ class TruncatedAlgebra:
             return []
         return [(1, Monomial(out))]
 
-    @staticmethod
-    def multidegree(factors: Sequence[Monomial], coeff: Monomial) -> tuple[int, ...]:
-        """Exponent vector of (f_1 ^ ... ^ f_p) (x) m: f_1 + ... + f_p + m."""
-        return tuple(map(sum, zip(coeff.exponents, *(f.exponents for f in factors))))
-
 
 class ReducedACMAlgebra:
     """The capped reduction of an ACM ring as a coefficient algebra."""
 
     # the Fermat relation mixes multidegrees, so no orbit reuse applies
-    multidegree = None
+    multigraded = False
 
     def __init__(self, spec: _acm.ACMSpec, d: int):
         if d < 2:
@@ -462,6 +528,80 @@ class ReducedACMAlgebra:
 
     def multiply(self, a: _acm.ACMMonomial, b: _acm.ACMMonomial) -> list[tuple[int, _acm.ACMMonomial]]:
         return _acm.reduce_product(a, b, self.spec, self.d)
+
+
+class _ProductTable:
+    """Every product generator x A_k -> A_{k+d} of one complex, mod one prime.
+
+    `terms[g][j]` lists (residue, target index) of gens[g] * basis_k[j] on the
+    degree-(k+d) basis, with repeated labels merged, zero residues dropped and
+    targets ascending. `arrays()` gives the same table as two (nb, dim A_k, T)
+    arrays, residue and target, padded with residue 0; T is the longest list.
+    On a multigraded algebra `gen_exps` and `coeff_exps` hold the exponent
+    vectors of the generators and of basis_k, and `wedge_weights` the block
+    weights of a wedge's columns.
+    """
+
+    def __init__(self, gens: Sequence, algebra, k: int, mod: int):
+        src = algebra.degree_basis(k)
+        dst_index = {m: i for i, m in enumerate(algebra.degree_basis(k + algebra.d))}
+        self.n_src = len(src)
+        self.n_dst = len(dst_index)
+        self.terms: list[list[list[tuple[int, int]]]] = []
+        for g in gens:
+            row = []
+            for m in src:
+                terms = algebra.multiply(g, m)
+                if len(terms) > 1:
+                    merged: dict[int, int] = {}
+                    for cv, label in terms:
+                        t = dst_index[label]
+                        merged[t] = merged.get(t, 0) + cv
+                    terms = [(v, t) for t, v in sorted(merged.items())]
+                else:
+                    terms = [(cv, dst_index[label]) for cv, label in terms]
+                row.append([(v % mod, t) for v, t in terms if v % mod])
+            self.terms.append(row)
+        if algebra.multigraded:
+            self.gen_exps = [g.exponents for g in gens]
+            self.coeff_exps = [m.exponents for m in src]
+            # a wedge's gaps sum(F)_{i+1} - sum(F)_i as one integer in base
+            # `radix`: every digit is a sum of at most nb generator gaps, so it
+            # lies strictly between -radix/2 and radix/2, and two wedges get
+            # the same code exactly when they have the same gaps
+            gaps = [list(map(operator.sub, e[1:], e)) for e in self.gen_exps]
+            radix = 2 * len(gens) * max((abs(x) for g in gaps for x in g), default=0) + 1
+            self._gap_codes = [sum(x * radix**i for i, x in enumerate(g)) for g in gaps]
+            self._weights_by_gap: dict[int, list[int]] = {}
+        self._arrays: tuple[np.ndarray, np.ndarray] | None = None
+
+    def wedge_weights(self, combo: tuple[int, ...]) -> list[int]:
+        """The block weight of (combo, m) for each m in basis_k.
+
+        alpha = sum(F) + m is sorted iff m_i - m_{i+1} <= g_i for the gaps
+        g_i = sum(F)_{i+1} - sum(F)_i, and alpha_i = alpha_{i+1} iff equality
+        holds there, so the list depends on g alone and is memoised on it.
+        """
+        code = sum(map(self._gap_codes.__getitem__, combo))
+        found = self._weights_by_gap.get(code)
+        if found is None:
+            fsum = list(map(sum, zip(*(self.gen_exps[i] for i in combo))))
+            gap = tuple(map(operator.sub, fsum[1:], fsum))
+            found = self._weights_by_gap[code] = [
+                _orbit_size(tuple(map(operator.add, fsum, m)))
+                if all(map(operator.le, map(operator.sub, m, m[1:]), gap)) else 0
+                for m in self.coeff_exps
+            ]
+        return found
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._arrays is None:
+            width = max((len(t) for row in self.terms for t in row), default=0) or 1
+            pad = [(0, 0)] * width
+            table = np.array([[(terms + pad)[:width] for terms in row] for row in self.terms],
+                             dtype=np.int64).reshape(len(self.terms), self.n_src, width, 2)
+            self._arrays = (table[..., 0].copy(), table[..., 1].copy())
+        return self._arrays
 
 
 def _algebra_for(ring_or_spec, d: int | None):
@@ -517,6 +657,8 @@ class KoszulComplex:
                 raise ParameterError("generator_order must be a permutation of the basis")
             gens = [gens[i] for i in generator_order]
         self._gens = gens
+        # products per (k, modulus), each built at its first assembly
+        self._tables: dict[tuple[int, int], _ProductTable] = {}
         self._raw_ranks: dict[tuple[int, int, int], int] = {}
         self._chain_checked: set[tuple[int, int, int]] = set()
 
@@ -551,102 +693,123 @@ class KoszulComplex:
         """The map wedge^p (x) A_k -> wedge^{p-1} (x) A_{k+d} as residues.
 
         On the capped ring, column c carries the block weight |S_{n+1} . alpha|
-        when its multidegree alpha is sorted and 0 otherwise. With
-        `representatives` there, only the sorted-alpha columns are filled and
-        the rest stay empty; such a matrix is good for its rank alone.
+        when its multidegree alpha is sorted and 0 otherwise, from `_weights`
+        on the first call of `weight`. With `representatives` there, the
+        weights are computed up front and only the columns of nonzero weight
+        are filled; the rest stay empty, and such a matrix is good for its
+        rank alone.
         """
         field = field or self.field
         mod = field.modulus
         nb = self.num_generators
-        src_coeffs = self.algebra.degree_basis(k)
-        n_src = math.comb(nb, p) * len(src_coeffs) if 0 <= p <= nb else 0
+        n_src = math.comb(nb, p) * self.algebra.dim(k) if 0 <= p <= nb else 0
         rows = math.comb(nb, p - 1) * self.algebra.dim(k + self.d) if p > 0 else 0
-        # every column starts as one shared empty tuple, a single pointer: a
-        # zero map has no entries, so the entry budget does not bound its
-        # columns, and a representative-only matrix leaves most columns empty
-        cols_data: list[Sequence[tuple[int, int]]] = [()] * n_src
         if n_src == 0 or rows == 0:
-            return SparseMatrix(rows, n_src, mod, cols_data)
+            # every column is one shared empty tuple, a single pointer: a zero
+            # map has no entries, so the entry budget does not bound its columns
+            return SparseMatrix(rows, n_src, mod, [()] * n_src)
         self._budget_check(p, k)
-        dst_coeffs = self.algebra.degree_basis(k + self.d)
-        dst_index = {m: i for i, m in enumerate(dst_coeffs)}
-        n_dst_c = len(dst_coeffs)
+        weights = weight = None
+        if self.algebra.multigraded:
+            weights = functools.cache(functools.partial(self._weights, p, k, mod))
+            weight = lambda c: weights()[c]  # noqa: E731
+        keep = weights() if representatives and weights else None
+        if n_src * p < _ARRAY_PATH_MIN_ENTRIES:
+            cols_data = self._columns_by_loop(p, k, mod, keep)
+        else:
+            cols_data = self._columns_by_arrays(p, k, mod, keep)
+        return SparseMatrix(rows, n_src, mod, cols_data, weight)
 
-        # product expansions are shared by every wedge containing a generator
-        n_src_c = len(src_coeffs)
-        prod: list[list[list[tuple[int, int]]]] = []
-        for g in self._gens:
-            row_g = []
-            for cmono in src_coeffs:
-                terms = []
-                for cv, label in self.algebra.multiply(g, cmono):
-                    res = cv % mod
-                    if res:
-                        terms.append((res, dst_index[label]))
-                row_g.append(terms)
-            prod.append(row_g)
+    def _table(self, k: int, mod: int) -> _ProductTable:
+        table = self._tables.get((k, mod))
+        if table is None:
+            table = self._tables[k, mod] = _ProductTable(self._gens, self.algebra, k, mod)
+        return table
 
-        every = range(n_src_c)
-        kept_by_gap: dict[tuple[int, ...], list[int]] | None = None
-        if representatives and self.algebra.multidegree is not None:
-            # alpha = sum(F) + m is sorted iff m_i - m_{i+1} <= g_i for the gaps
-            # g_i = sum(F)_{i+1} - sum(F)_i, so the kept m depend on g alone
-            kept_by_gap = {}
-            gen_exps = [g.exponents for g in self._gens]
-            src_drops = [tuple(map(operator.sub, m.exponents, m.exponents[1:]))
-                         for m in src_coeffs]
+    def _weights(self, p: int, k: int, mod: int) -> list[int]:
+        """Block weight of each column of d_p, wedge by wedge."""
+        table = self._table(k, mod)
+        out: list[int] = []
+        for combo in wedge_basis(self.num_generators, p):
+            out += table.wedge_weights(combo)
+        return out
 
-        nnz = 0
-        combos = wedge_basis(nb, p)
+    # -- the per-column loop: small differentials, and the referee --------------
+
+    def _columns_by_loop(self, p: int, k: int, mod: int,
+                         keep: Sequence[int] | None) -> list[Sequence[tuple[int, int]]]:
+        """The columns of d_p, one dict of entries per column.
+
+        With `keep` (the column weights) only the columns of nonzero weight
+        are filled; the rest are one shared empty tuple, like every column
+        without entries.
+        """
+        table = self._table(k, mod)
+        n_src_c, n_dst_c = table.n_src, table.n_dst
+        combos = wedge_basis(self.num_generators, p)
+        cols_data: list[Sequence[tuple[int, int]]] = [()] * (len(combos) * n_src_c)
         for w, combo in enumerate(combos):
-            kept = every
-            if kept_by_gap is not None:
-                fsum = list(map(sum, zip(*(gen_exps[i] for i in combo))))
-                gap = tuple(map(operator.sub, fsum[1:], fsum))
-                kept = kept_by_gap.get(gap)
-                if kept is None:
-                    kept = kept_by_gap[gap] = [
-                        j for j, drop in enumerate(src_drops)
-                        if all(map(operator.le, drop, gap))
-                    ]
-                if not kept:
+            sub_ranks = [colex_rank(combo[:t] + combo[t + 1:]) * n_dst_c for t in range(p)]
+            for j in range(n_src_c):
+                if keep is not None and not keep[w * n_src_c + j]:
                     continue
-            sub_ranks = []
-            for t in range(p):
-                sub = combo[:t] + combo[t + 1:]
-                sub_ranks.append(colex_rank(sub) * n_dst_c)
-            for j in kept:
                 entries: dict[int, int] = {}
                 for t in range(p):
-                    terms = prod[combo[t]][j]
-                    if not terms:
-                        continue
-                    base = sub_ranks[t]
-                    if t % 2 == 0:
-                        for cv, tj in terms:
-                            r = base + tj
-                            entries[r] = (entries.get(r, 0) + cv) % mod
-                    else:
-                        for cv, tj in terms:
-                            r = base + tj
-                            entries[r] = (entries.get(r, 0) - cv) % mod
+                    sign = -1 if t % 2 else 1
+                    for res, tj in table.terms[combo[t]][j]:
+                        r = sub_ranks[t] + tj
+                        entries[r] = (entries.get(r, 0) + sign * res) % mod
                 col = sorted((r, v) for r, v in entries.items() if v)
-                nnz += len(col)
-                if nnz > self.entry_budget:
-                    raise ResourceLimitError(
-                        f"differential at p={p}, coefficient degree {k} exceeded the "
-                        f"entry budget {self.entry_budget} during assembly"
-                    )
-                cols_data[w * n_src_c + j] = col
+                if col:
+                    cols_data[w * n_src_c + j] = col
+        return cols_data
 
-        weight = None
-        if self.algebra.multidegree is not None:
-            def weight(c: int) -> int:
-                factors = [self._gens[i] for i in combos[c // n_src_c]]
-                alpha = self.algebra.multidegree(factors, src_coeffs[c % n_src_c])
-                return _orbit_size(alpha) if all(map(operator.le, alpha, alpha[1:])) else 0
+    # -- the array path ------------------------------------------------------------
 
-        return SparseMatrix(rows, n_src, mod, cols_data, weight)
+    def _columns_by_arrays(self, p: int, k: int, mod: int,
+                           keep: Sequence[int] | None) -> list[Sequence[tuple[int, int]]]:
+        """The columns of d_p, gathered from the product table in numpy.
+
+        For each chunk of wedges, one (wedge, coefficient, position, term)
+        array holds the product residues with the wedge positions reversed:
+        removing a later factor gives a smaller sub-wedge, so C order over it
+        is column order with rows ascending, and `np.flatnonzero` lists the
+        entries ready to be cut into columns. Removing different factors gives
+        different sub-wedges and a product's targets are distinct, so no two
+        entries of a column share a row. Same columns as `_columns_by_loop`.
+        """
+        table = self._table(k, mod)
+        res, tgt = table.arrays()
+        n_src_c, width = res.shape[1], res.shape[2]
+        nb = self.num_generators
+        all_combos = _colex_array(nb, p)
+        binom = _binomial_table(nb, p)
+        kept = None if keep is None else np.array(keep, dtype=bool).reshape(-1, n_src_c)
+        cols_data: list[Sequence[tuple[int, int]]] = [()] * (len(all_combos) * n_src_c)
+        # position t' of the reversed wedge removes factor t = p-1-t', sign (-1)^t
+        negate = np.arange(p - 1, -1, -1) % 2 == 1
+        coeff_index = np.arange(n_src_c)[None, :, None]
+        step = max(1, _CHUNK_CELLS // (n_src_c * p * width))
+        for w0 in range(0, len(all_combos), step):
+            combos = all_combos[w0:w0 + step]
+            reversed_combos = combos[:, ::-1]
+            sub_rows = _sub_wedge_ranks(combos, binom)[:, ::-1] * table.n_dst
+            cells = res[reversed_combos[:, None, :], coeff_index]
+            if kept is not None:
+                cells *= kept[w0:w0 + step, :, None, None]
+            flat = np.flatnonzero(cells)
+            slot, rest = flat % width, flat // width
+            pos, col = rest % p, rest // p
+            w, j = col // n_src_c, col % n_src_c
+            rows = sub_rows[w, pos] + tgt[reversed_combos[w, pos], j, slot]
+            vals = cells.ravel()[flat]
+            vals = np.where(negate[pos], mod - vals, vals)
+            starts = np.flatnonzero(np.diff(col, prepend=-1))
+            bounds = np.append(starts, len(col)).tolist()
+            pairs = list(zip(rows.tolist(), vals.tolist()))
+            for c, a, b in zip((col[starts] + w0 * n_src_c).tolist(), bounds, bounds[1:]):
+                cols_data[c] = pairs[a:b]
+        return cols_data
 
     def differential(self, p: int, q: int) -> SparseMatrix:
         """The outgoing differential of the (p, q) middle term."""
@@ -710,13 +873,18 @@ class KoszulComplex:
 
     def kpq_dim(self, p: int, q: int, field: PrimeField | None = None) -> int:
         """dim K_{p,q} over the field: dim ker d_p minus rank d_{p+1}."""
+        return self._dim_and_checked_d_p(p, q, field)[0]
+
+    def _dim_and_checked_d_p(self, p: int, q: int, field: PrimeField | None = None
+                             ) -> tuple[int, SparseMatrix | None]:
+        """`kpq_dim`, with the full d_p when this call's chain check assembled it."""
         field = field or self.field
         if p < 0:
-            return 0
+            return 0, None
         k = self.coeff_degree(q)
         mid = self.middle_dim(p, q)
         if mid == 0:
-            return 0
+            return 0, None
         d_p = d_p1 = None
         if (p, q, field.modulus) not in self._chain_checked:
             d_p, d_p1 = self._checked_differentials(p, q, field)
@@ -725,7 +893,7 @@ class KoszulComplex:
             raise InconsistencyError(
                 f"negative homology dimension {dim} at p={p}, q={q}: rank bookkeeping is broken"
             )
-        return dim
+        return dim, d_p
 
     def betti_row(self, q: int, p_range: Iterable[int],
                   field: PrimeField | None = None) -> list[int]:

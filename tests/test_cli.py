@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from kpq.acm import hypersurface_spec, save_spec, spec_to_json
 from kpq import cli
 from kpq.cli import main, parse_grid
+from kpq.combinatorics import TruncatedRing
 from kpq.errors import ParameterError
-from kpq.koszul import SparseMatrix
+from kpq.koszul import KoszulComplex, SparseMatrix
 
 
 def run(capsys, *argv):
@@ -252,6 +253,28 @@ class TestBettiCommand:
         assert [e["p"] for e in dumped["errors"]] == [10]
         assert sorted(f.name for f in tmp_path.iterdir()) == [
             "dp_b0_q2_p11.txt", "dp_b0_q2_p12.txt"]
+
+    def test_dump_dir_writes_the_checked_differential(self, capsys, tmp_path, monkeypatch):
+        # at a chain-check cell the d_p that kpq_dim composed is the one written
+        calls = []
+        real = KoszulComplex.differential_matrix
+
+        def counting(cx, *args, **kwargs):
+            calls.append(args[:2])
+            return real(cx, *args, **kwargs)
+
+        monkeypatch.setattr(KoszulComplex, "differential_matrix", counting)
+        plain = run_json(capsys, "betti", "--n", "2", "--d", "3")
+        assert len(calls) == 20
+        calls.clear()
+        dumped = run_json(capsys, "betti", "--n", "2", "--d", "3", "--dump-dir", str(tmp_path))
+        assert len(calls) == 46
+        assert dumped["rows"] == plain["rows"]
+        for row in dumped["rows"]:
+            for p in range(dumped["p_range"][0], dumped["p_range"][1] + 1):
+                text = (tmp_path / f"dp_b0_q{row['q']}_p{p}.txt").read_text()
+                k = 3 * row["q"]
+                assert text == real(KoszulComplex(TruncatedRing(3, 3)), p, k).to_triplet_text()
 
 
 class TestGridParsing:

@@ -396,6 +396,123 @@ class TestOrbitRank:
         assert len(calls) == len(mat._component_split())
 
 
+def orbit_weight(a):
+    """|S_{n+1} . alpha| for sorted alpha, 0 otherwise, from the factorial formula."""
+    if list(a) != sorted(a):
+        return 0
+    size = math.factorial(len(a))
+    for v in set(a):
+        size //= math.factorial(a.count(v))
+    return size
+
+
+ACM_RINGS = [
+    (hypersurface_spec(2, 2), 2),
+    (hypersurface_spec(2, 2), 3),
+    (hypersurface_spec(3, 2), 2),
+    (hypersurface_spec(2, 3), 2),
+    (hypersurface_spec(2, 3), 3),
+    (hypersurface_spec(2, 2, relation=[[(1, (2, 0)), (1, (0, 2))], []]), 2),
+]
+
+
+class TestArrayPath:
+    """The numpy gather of a differential against the per-column loop, on both sides of the threshold."""
+
+    @staticmethod
+    def assert_same_columns(cx, p, k, prime, representatives):
+        keep = cx._weights(p, k, prime) if representatives else None
+        loop = cx._columns_by_loop(p, k, prime, keep)
+        arrays = cx._columns_by_arrays(p, k, prime, keep)
+        mat = cx.differential_matrix(p, k, representatives=representatives)
+        assert len(loop) == len(arrays) == mat.cols
+        assert [list(col) for col in arrays] == [list(col) for col in loop]
+        assert [list(col) for col in mat._cols] == [list(col) for col in loop]
+        assert all(0 <= r < mat.rows and 0 < v < prime for col in loop for r, v in col)
+
+    @given(st.integers(1, 3), st.integers(2, 4),
+           st.sampled_from([3, 5, DEFAULT_PRIME, SECONDARY_PRIME, LARGEST_PRIME]),
+           st.booleans(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_capped_ring(self, n, d, prime, representatives, data):
+        ring = TruncatedRing(n + 1, d)
+        nb = len(enumerate_monomials(ring, d))
+        order = data.draw(st.permutations(range(nb)))
+        cx = KoszulComplex(ring, field=prime, generator_order=order)
+        k = data.draw(st.integers(0, ring.top_degree - d))
+        small = [p for p in range(1, nb + 1)
+                 if math.comb(nb, p) * cx.algebra.dim(k) <= 3000]
+        p = data.draw(st.sampled_from(small))
+        self.assert_same_columns(cx, p, k, prime, representatives)
+        expected = [orbit_weight(alpha(cx, p, k, c))
+                    for c in range(math.comb(nb, p) * cx.algebra.dim(k))]
+        assert cx._weights(p, k, prime) == expected
+        mat = cx.differential_matrix(p, k, representatives=representatives)
+        assert [mat.weight(c) for c in range(mat.cols)] == expected
+
+    @given(st.sampled_from(ACM_RINGS),
+           st.sampled_from([3, 5, DEFAULT_PRIME, SECONDARY_PRIME, LARGEST_PRIME]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_acm_rings(self, ring, prime, data):
+        spec, d = ring
+        cx = KoszulComplex(spec, d=d, field=prime)
+        nb = cx.num_generators
+        cases = [(p, k) for k in range(0, 3 * d + 1) for p in range(1, nb + 1)
+                 if 0 < math.comb(nb, p) * cx.algebra.dim(k) <= 3000
+                 and cx.algebra.dim(k + d) > 0]
+        p, k = data.draw(st.sampled_from(cases))
+        self.assert_same_columns(cx, p, k, prime, False)
+        assert cx.differential_matrix(p, k).weight is None
+
+    def test_degree_basis_has_dim_elements(self):
+        # the column count comb(nb, p) * dim(k) indexes the basis of A_k
+        rings = [(TruncatedRing(n + 1, d), None) for n in (1, 2, 3) for d in (2, 3, 4)]
+        for ring, d in rings + [(spec, d) for spec, d in ACM_RINGS]:
+            algebra = KoszulComplex(ring, d=d).algebra
+            for k in range(-1, 4 * algebra.d + 2):
+                assert len(algebra.degree_basis(k)) == algebra.dim(k), (ring, d, k)
+
+    def test_product_table_merges_repeated_labels(self):
+        class Stub:
+            d = 1
+            multigraded = False
+
+            def degree_basis(self, k):
+                return {0: ["a", "b"], 1: ["x", "y", "z"]}.get(k, [])
+
+            def multiply(self, g, m):
+                if m == "a":  # z cancels, x and y repeat
+                    return [(2, "z"), (3, "x"), (6, "y"), (-2, "z"), (5, "x"), (-1, "y")]
+                return [(12, "y")]
+
+        table = koszul._ProductTable(["g"], Stub(), 0, 7)
+        assert table.terms == [[[(1, 0), (5, 1)], [(5, 1)]]]
+        res, tgt = table.arrays()
+        assert res.tolist() == [[[1, 5], [5, 0]]]
+        assert tgt.tolist() == [[[0, 1], [1, 0]]]
+
+    def test_rank_splits_only_weighted_columns(self, monkeypatch):
+        cx = KoszulComplex(TruncatedRing(3, 4))
+        mat = cx.differential_matrix(5, 4)
+        full = mat._component_split()
+        weighted = sorted(comp for comp in full if mat.weight(comp[0][0]))
+        assert 0 < len(weighted) < len(full)
+        slow = TestOrbitRank.slow_rank(mat)
+        fresh = cx.differential_matrix(5, 4)
+        splits = []
+        real = SparseMatrix._component_split
+
+        def spy(matrix, columns=None):
+            out = real(matrix, columns)
+            splits.append(out)
+            return out
+
+        monkeypatch.setattr(SparseMatrix, "_component_split", spy)
+        assert fresh.rank() == slow
+        assert [sorted(s) for s in splits] == [weighted]
+        assert sorted(fresh._component_split()) == sorted(full)
+
+
 class TestKpqDims:
     def test_twisted_cubic_rows(self):
         cx = KoszulComplex(TruncatedRing(2, 3))
