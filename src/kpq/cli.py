@@ -319,6 +319,8 @@ def cmd_betti(args: argparse.Namespace, cfg: RunConfig) -> dict:
         if args.n is None or args.d is None:
             raise ParameterError("betti needs --n and --d (or --acm with --d)")
         n, d = args.n, args.d
+        if n < 1:
+            raise ParameterError(f"n must be >= 1, got {n}")
         ring_or_spec = TruncatedRing(n + 1, d)
         top_p = truncated_dim(TruncatedRing(n + 1, d), d)
     q_lo, q_hi = _parse_span(args.q_range, "--q-range") if args.q_range else (0, n + 1)

@@ -38,13 +38,14 @@ differential onto the sigma(alpha)-block by a signed permutation of rows and
 columns, so the two have the same rank over every field. This orbit rule
 is written once, in `_ProductTable.wedge_weights`: each column gets the block
 weight |S_{n+1} . alpha| = (n+1)! / prod(mult!) when alpha is sorted
-(nondecreasing) and 0 otherwise. `KoszulComplex._weights` lists it for every
-column of a differential, once per matrix, and `SparseMatrix.rank()` splits
-only the columns of nonzero weight and adds up weight times rank over those
-blocks. A differential that `kpq_dim` assembles only for its rank fills just
-the columns of nonzero weight, in either path; both kinds of matrix have the
-same rank. ACM rings have no such grading (the Fermat relation is not
-multigraded), so their matrices carry no weight and every block counts once.
+(nondecreasing) and 0 otherwise. `KoszulComplex._rank` lists these weights
+once per differential (`_weights`) and passes them to `SparseMatrix.rank`,
+which splits only the columns of nonzero weight and adds up weight times rank
+over those blocks; the matrix itself carries no weight. A differential that
+`kpq_dim` assembles only for its rank gets the same list as `keep` and fills
+just the columns of nonzero weight, in either path. ACM rings have no such
+grading (the Fermat relation is not multigraded), so their ranks take no
+weights and every block counts once.
 
 Where `kpq_dim` first visits a cell whose two differentials are both
 nontrivial, it assembles both in full, checks that they compose to zero, and
@@ -54,12 +55,11 @@ ranks those full matrices. `slice`, `differential`, `is_cycle` and
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -142,10 +142,6 @@ def _as_field(field: Union["PrimeField", int, None]) -> PrimeField:
 # ---------------------------------------------------------------------------
 # Wedge bases in colexicographic order
 
-_WEDGE_CACHE: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
-_WEDGE_CACHE_LIMIT = 300_000
-
-
 def _colex_array(nb: int, p: int) -> np.ndarray:
     """The strictly increasing p-tuples of range(nb) in colex order, as a
     (comb(nb, p), p) array, for 0 <= p <= nb.
@@ -171,16 +167,10 @@ def wedge_basis(nb: int, p: int) -> list[tuple[int, ...]]:
     """
     if p < 0 or p > nb:
         return []
-    key = (nb, p)
-    cached = _WEDGE_CACHE.get(key)
-    if cached is None:
-        # lex order over the elements taken in descending order is colex
-        # order reversed, with each tuple reversed
-        descending = itertools.combinations(range(nb - 1, -1, -1), p)
-        cached = tuple(combo[::-1] for combo in descending)[::-1]
-        if len(cached) <= _WEDGE_CACHE_LIMIT:
-            _WEDGE_CACHE[key] = cached
-    return list(cached)
+    # lex order over the elements taken in descending order is colex order
+    # reversed, with each tuple reversed
+    descending = itertools.combinations(range(nb - 1, -1, -1), p)
+    return [combo[::-1] for combo in descending][::-1]
 
 
 def colex_rank(combo: Sequence[int]) -> int:
@@ -241,25 +231,15 @@ class SparseMatrix:
     """Column-major sparse matrix of residues mod an odd prime.
 
     Invariants: one entry per (row, col); stored residues lie in [1, p-1].
-    `weight`, when given, maps a column to how many times the rank of its
-    block counts in `rank()`; it must be constant on every block, a block of
-    weight 0 is neither split nor eliminated by `rank()`, and without a
-    weight every block counts once. The Veronese differentials carry
-    |S_{n+1} . alpha| on sorted multidegrees alpha and 0 elsewhere, so a
-    representative-only differential, filled on the sorted-alpha columns
-    alone, has the rank of the full one (see the module docstring).
+    Nothing is cached: `KoszulComplex` keeps the ranks it needs.
     """
 
     def __init__(self, rows: int, cols: int, modulus: int,
-                 cols_data: list[Sequence[tuple[int, int]]],
-                 weight: Callable[[int], int] | None = None):
+                 cols_data: list[Sequence[tuple[int, int]]]):
         self.rows = rows
         self.cols = cols
         self.modulus = modulus
         self._cols = cols_data
-        self.weight = weight
-        self._rank: int | None = None
-        self._components: list[tuple[list[int], list[int]]] | None = None
 
     @classmethod
     def from_triplets(cls, rows: int, cols: int, modulus: int,
@@ -291,11 +271,8 @@ class SparseMatrix:
         Rank is additive across components, and the differential's internal
         multigrading shows up here automatically: two columns land in one
         component only if a chain of shared rows links them. Only nonempty
-        columns are visited, and only those in `columns` when it is given;
-        the split of every nonempty column is cached.
+        columns are visited, and only those in `columns` when it is given.
         """
-        if columns is None and self._components is not None:
-            return self._components
         parent = list(range(self.cols + self.rows))
 
         def find(x: int) -> int:
@@ -304,8 +281,8 @@ class SparseMatrix:
                 x = parent[x]
             return x
 
-        full = columns is None
-        columns = [c for c in (range(self.cols) if full else columns) if self._cols[c]]
+        columns = [c for c in (range(self.cols) if columns is None else columns)
+                   if self._cols[c]]
         for c in columns:
             for r, _ in self._cols[c]:
                 ra, rb = find(c), find(self.cols + r)
@@ -316,26 +293,21 @@ class SparseMatrix:
             cols_g, rows_g = groups.setdefault(find(c), ([], set()))
             cols_g.append(c)
             rows_g.update(r for r, _ in self._cols[c])
-        components = [(cols_g, sorted(rows_g)) for cols_g, rows_g in groups.values()]
-        if full:
-            self._components = components
-        return components
+        return [(cols_g, sorted(rows_g)) for cols_g, rows_g in groups.values()]
 
-    def rank(self) -> int:
-        """Rank over GF(modulus): weight times rank, summed over the blocks.
+    def rank(self, weights: Sequence[int] | None = None) -> int:
+        """Rank over GF(modulus), or weight times rank summed over the blocks.
 
-        With a weight, only the columns of nonzero weight are split: the
-        weights of a differential are constant on each component (they depend
-        on the multidegree alone), so this drops whole weight-0 blocks and
-        leaves every other block as it is.
+        `weights[c]`, constant on each block, is how many times the rank of
+        column c's block counts; only the columns of nonzero weight are split
+        and eliminated. Without weights every block counts once.
         """
-        if self._rank is None:
-            weight = self.weight
-            columns = weight and [c for c, col in enumerate(self._cols) if col and weight(c)]
-            self._rank = sum((weight(cols_g[0]) if weight else 1)
-                             * self._block_rank(cols_g, rows_g)
-                             for cols_g, rows_g in self._component_split(columns))
-        return self._rank
+        if weights is None:
+            return sum(self._block_rank(cols_g, rows_g)
+                       for cols_g, rows_g in self._component_split())
+        columns = [c for c, col in enumerate(self._cols) if col and weights[c]]
+        return sum(weights[cols_g[0]] * self._block_rank(cols_g, rows_g)
+                   for cols_g, rows_g in self._component_split(columns))
 
     def _block_rank(self, cols_g: list[int], rows_g: list[int],
                     rhs: dict[int, int] | None = None) -> int:
@@ -412,11 +384,14 @@ class SparseMatrix:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ParameterError("empty matrix text")
-        rows, cols, modulus = (int(t) for t in lines[0].split())
         trips = []
-        for ln in lines[1:]:
-            r, c, v = (int(t) for t in ln.split())
+        for ln in lines:
+            try:
+                r, c, v = map(int, ln.split())
+            except ValueError:
+                raise ParameterError(f"expected three integers, got {ln!r}") from None
             trips.append((r, c, v))
+        (rows, cols, modulus), *trips = trips
         return cls.from_triplets(rows, cols, modulus, trips)
 
 
@@ -688,19 +663,16 @@ class KoszulComplex:
     # -- assembly -------------------------------------------------------------
 
     def differential_matrix(self, p: int, k: int,
-                            field: PrimeField | None = None, *,
-                            representatives: bool = False) -> SparseMatrix:
+                            field: PrimeField | int | None = None, *,
+                            keep: Sequence[int] | None = None) -> SparseMatrix:
         """The map wedge^p (x) A_k -> wedge^{p-1} (x) A_{k+d} as residues.
 
-        On the capped ring, column c carries the block weight |S_{n+1} . alpha|
-        when its multidegree alpha is sorted and 0 otherwise, from `_weights`
-        on the first call of `weight`. With `representatives` there, the
-        weights are computed up front and only the columns of nonzero weight
-        are filled; the rest stay empty, and such a matrix is good for its
-        rank alone.
+        With `keep`, one number per column, only the columns where it is
+        nonzero are filled and the rest stay empty. `_rank` passes the block
+        weights from `_weights` there: such a matrix is good only for
+        `rank(weights)` with those same weights.
         """
-        field = field or self.field
-        mod = field.modulus
+        mod = self.field.modulus if field is None else _as_field(field).modulus
         nb = self.num_generators
         n_src = math.comb(nb, p) * self.algebra.dim(k) if 0 <= p <= nb else 0
         rows = math.comb(nb, p - 1) * self.algebra.dim(k + self.d) if p > 0 else 0
@@ -709,16 +681,11 @@ class KoszulComplex:
             # map has no entries, so the entry budget does not bound its columns
             return SparseMatrix(rows, n_src, mod, [()] * n_src)
         self._budget_check(p, k)
-        weights = weight = None
-        if self.algebra.multigraded:
-            weights = functools.cache(functools.partial(self._weights, p, k, mod))
-            weight = lambda c: weights()[c]  # noqa: E731
-        keep = weights() if representatives and weights else None
         if n_src * p < _ARRAY_PATH_MIN_ENTRIES:
             cols_data = self._columns_by_loop(p, k, mod, keep)
         else:
             cols_data = self._columns_by_arrays(p, k, mod, keep)
-        return SparseMatrix(rows, n_src, mod, cols_data, weight)
+        return SparseMatrix(rows, n_src, mod, cols_data)
 
     def _table(self, k: int, mod: int) -> _ProductTable:
         table = self._tables.get((k, mod))
@@ -740,9 +707,8 @@ class KoszulComplex:
                          keep: Sequence[int] | None) -> list[Sequence[tuple[int, int]]]:
         """The columns of d_p, one dict of entries per column.
 
-        With `keep` (the column weights) only the columns of nonzero weight
-        are filled; the rest are one shared empty tuple, like every column
-        without entries.
+        With `keep` only the columns where it is nonzero are filled; the rest
+        are one shared empty tuple, like every column without entries.
         """
         table = self._table(k, mod)
         n_src_c, n_dst_c = table.n_src, table.n_dst
@@ -866,19 +832,23 @@ class KoszulComplex:
             return 0
         key = (p, k, field.modulus)
         if key not in self._raw_ranks:
+            weights = None
+            if self.algebra.multigraded:
+                self._budget_check(p, k)  # before the weights list every column
+                weights = self._weights(p, k, field.modulus)
             if mat is None:
-                mat = self.differential_matrix(p, k, field, representatives=True)
-            self._raw_ranks[key] = mat.rank()
+                mat = self.differential_matrix(p, k, field, keep=weights)
+            self._raw_ranks[key] = mat.rank(weights)
         return self._raw_ranks[key]
 
-    def kpq_dim(self, p: int, q: int, field: PrimeField | None = None) -> int:
+    def kpq_dim(self, p: int, q: int, field: PrimeField | int | None = None) -> int:
         """dim K_{p,q} over the field: dim ker d_p minus rank d_{p+1}."""
         return self._dim_and_checked_d_p(p, q, field)[0]
 
-    def _dim_and_checked_d_p(self, p: int, q: int, field: PrimeField | None = None
+    def _dim_and_checked_d_p(self, p: int, q: int, field: PrimeField | int | None = None
                              ) -> tuple[int, SparseMatrix | None]:
         """`kpq_dim`, with the full d_p when this call's chain check assembled it."""
-        field = field or self.field
+        field = self.field if field is None else _as_field(field)
         if p < 0:
             return 0, None
         k = self.coeff_degree(q)
@@ -896,7 +866,7 @@ class KoszulComplex:
         return dim, d_p
 
     def betti_row(self, q: int, p_range: Iterable[int],
-                  field: PrimeField | None = None) -> list[int]:
+                  field: PrimeField | int | None = None) -> list[int]:
         """dim K_{p,q} for each p in p_range (shared caches across the row)."""
         return [self.kpq_dim(p, q, field) for p in p_range]
 
@@ -959,18 +929,18 @@ class KoszulComplex:
             raise ParameterError(f"element index outside the {mid}-dimensional middle basis")
         return vec
 
-    def is_cycle(self, element, p: int, q: int, field: PrimeField | None = None) -> bool:
+    def is_cycle(self, element, p: int, q: int, field: PrimeField | int | None = None) -> bool:
         """True when the outgoing differential kills the element."""
-        field = field or self.field
+        field = self.field if field is None else _as_field(field)
         vec = self._coerce_element(element, p, q)
         if not vec:
             return True
         mat = self.differential_matrix(p, self.coeff_degree(q), field)
         return not mat.apply(vec)
 
-    def is_boundary(self, element, p: int, q: int, field: PrimeField | None = None) -> bool:
+    def is_boundary(self, element, p: int, q: int, field: PrimeField | int | None = None) -> bool:
         """True when the element is hit by the incoming differential."""
-        field = field or self.field
+        field = self.field if field is None else _as_field(field)
         vec = self._coerce_element(element, p, q)
         if not vec:
             return True

@@ -499,6 +499,17 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [
+        ("range", "--n", "0", "--d", "3", "--q", "1"),
+        ("betti", "--n", "-1", "--d", "3"),
+        ("betti", "--n", "0", "--d", "2"),
+    ])
+    def test_n_below_one_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: n must be >= 1")
+
     @pytest.mark.parametrize("option", ["--out", "--dump-dir"])
     def test_unwritable_output_path_exits_2(self, capsys, tmp_path, option):
         regular_file = tmp_path / "file"
