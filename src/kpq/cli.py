@@ -339,14 +339,10 @@ def cmd_betti(args: argparse.Namespace, cfg: RunConfig) -> dict:
         dims: list[int | None] = []
         for p in range(p_lo, p_hi + 1):
             try:
+                dim = cx.kpq_dim(p, q)
                 if dump_dir:
-                    # write the d_p the chain check assembled, where it did
-                    dim, mat = cx._dim_and_checked_d_p(p, q)
-                    mat = mat or cx.differential(p, q)
                     name = f"dp_b{args.b}_q{q}_p{p}.txt"
-                    (dump_dir / name).write_text(mat.to_triplet_text())
-                else:
-                    dim = cx.kpq_dim(p, q)
+                    (dump_dir / name).write_text(cx.differential(p, q).to_triplet_text())
             except ResourceLimitError as exc:
                 dim = None
                 errors.append({"q": q, "p": p, "error": str(exc)})
@@ -428,13 +424,13 @@ def _complexes(n: int, d: int, prime: int, budget: int):
 def _sweep_ranges_cell(n: int, d: int, primes: list[int], budget: int) -> dict:
     cell = {"n": n, "d": d, "checked": 0, "failures": [], "boundaries": [],
             "characteristic_flags": [], "empty_intervals": [], "skipped": []}
-    cx_for = _complexes(n, d, primes[0], budget)
+    cx_for = {prime: _complexes(n, d, prime, budget) for prime in primes}
     for b, q in _admissible_bq(n, d):
         report = _ranges.veronese_range_report(_ranges.VeroneseParams(n, d, b, q))
         if report.pq.empty:
             cell["empty_intervals"].append({"b": b, "q": q})
             continue
-        cx = cx_for(b)
+        cxs = {prime: cx_for[prime](b) for prime in primes}
         s_d = report.counts.s_d
         probes = list(report.pq)
         extra = []
@@ -444,9 +440,7 @@ def _sweep_ranges_cell(n: int, d: int, primes: list[int], budget: int) -> dict:
             extra.append(("above", report.pq.hi + 1))
         try:
             for p in probes:
-                dims = {}
-                for prime in primes:
-                    dims[prime] = cx.kpq_dim(p, q, PrimeField(prime))
+                dims = {prime: cx.kpq_dim(p, q) for prime, cx in cxs.items()}
                 cell["checked"] += 1
                 if any(v == 0 for v in dims.values()):
                     cell["failures"].append(
@@ -459,7 +453,7 @@ def _sweep_ranges_cell(n: int, d: int, primes: list[int], budget: int) -> dict:
                          "dims": {str(k): v for k, v in dims.items()}}
                     )
             for side, p in extra:
-                dim = cx.kpq_dim(p, q, PrimeField(primes[0]))
+                dim = cxs[primes[0]].kpq_dim(p, q)
                 cell["boundaries"].append({"b": b, "q": q, "p": p,
                                            "side": side, "dim": dim})
         except ResourceLimitError as exc:

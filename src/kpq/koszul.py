@@ -11,13 +11,15 @@ does not change these homology groups, which is what makes the finite model
 exact. The differential removes one wedge factor at a time and multiplies it
 into the coefficient, with sign (-1)^{i+1} on the i-th factor.
 
-A differential is assembled from a product table, built once per coefficient
-degree k and modulus from the algebra's `multiply`: generator x basis element
-of A_k -> residues on the basis of A_{k+d}, with repeated labels merged. One
-with at least _ARRAY_PATH_MIN_ENTRIES estimated entries, comb(nb, p) * dim A_k
-* p, is gathered from that table in numpy, a bounded chunk of wedges at a
-time: the ranks of the sub-wedges come from prefix and suffix sums over a
-binomial table, and one `np.flatnonzero` over a (wedge, coefficient, removed
+A `KoszulComplex` computes over the one prime field it is built with; a
+second prime takes a second complex. A differential is assembled from a
+product table, built once per coefficient degree k from the algebra's
+`multiply`: generator x basis element of A_k -> residues on the basis of
+A_{k+d}, with repeated labels merged. One with at least
+_ARRAY_PATH_MIN_ENTRIES estimated entries, comb(nb, p) * dim A_k * p, is
+gathered from that table in numpy, a bounded chunk of wedges at a time: the
+ranks of the sub-wedges come from prefix and suffix sums over a binomial
+table, and one `np.flatnonzero` over a (wedge, coefficient, removed
 position, term) array lists the entries in column order, rows ascending.
 Below that size the fixed cost of those numpy calls is more than the whole
 job, so a per-column loop reads the same table; the tests hold the two paths
@@ -126,9 +128,6 @@ class PrimeField:
                 f"field modulus {self.modulus} exceeds {MAX_MODULUS}, the largest "
                 f"for which products of two residues fit in int64"
             )
-
-    def inv(self, a: int) -> int:
-        return pow(a % self.modulus, -1, self.modulus)
 
 
 def _as_field(field: Union["PrimeField", int, None]) -> PrimeField:
@@ -245,6 +244,8 @@ class SparseMatrix:
     def from_triplets(cls, rows: int, cols: int, modulus: int,
                       triplets: Iterable[tuple[int, int, int]]) -> "SparseMatrix":
         field = PrimeField(modulus)
+        if rows < 0 or cols < 0:
+            raise ParameterError(f"matrix dimensions must be >= 0, got {rows}x{cols}")
         acc: list[dict[int, int]] = [dict() for _ in range(cols)]
         for r, c, v in triplets:
             if not (0 <= r < rows and 0 <= c < cols):
@@ -609,12 +610,14 @@ class ComplexSlice:
 
 
 class KoszulComplex:
-    """Assembles and eliminates slices of the complex for one (algebra, b).
+    """Assembles and eliminates slices of the complex for one (algebra, b),
+    over the one prime field `field`.
 
-    Ranks are cached per (p, coefficient degree, modulus); bases and wedge
-    enumerations are shared across calls. `generator_order` optionally
-    permutes the degree-d generator list (dimensions are invariant; used to
-    test exactly that).
+    Product tables are cached per coefficient degree, ranks per (p,
+    coefficient degree), and chain-checked cells per (p, q); wedge bases are
+    enumerated afresh on each assembly. `generator_order` optionally permutes
+    the degree-d generator list (dimensions are invariant; used to test
+    exactly that).
     """
 
     def __init__(self, ring_or_spec, d: int | None = None, b: int = 0,
@@ -632,10 +635,10 @@ class KoszulComplex:
                 raise ParameterError("generator_order must be a permutation of the basis")
             gens = [gens[i] for i in generator_order]
         self._gens = gens
-        # products per (k, modulus), each built at its first assembly
-        self._tables: dict[tuple[int, int], _ProductTable] = {}
-        self._raw_ranks: dict[tuple[int, int, int], int] = {}
-        self._chain_checked: set[tuple[int, int, int]] = set()
+        # products per k, each built at its first assembly
+        self._tables: dict[int, _ProductTable] = {}
+        self._raw_ranks: dict[tuple[int, int], int] = {}
+        self._chain_checked: set[tuple[int, int]] = set()
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -646,12 +649,15 @@ class KoszulComplex:
     def coeff_degree(self, q: int) -> int:
         return q * self.d + self.b
 
+    def _dim(self, p: int, k: int) -> int:
+        """dim wedge^p A_d (x) A_k."""
+        return math.comb(self.num_generators, p) * self.algebra.dim(k) if p >= 0 else 0
+
     def middle_dim(self, p: int, q: int) -> int:
-        k = self.coeff_degree(q)
-        return math.comb(self.num_generators, p) * self.algebra.dim(k) if 0 <= p else 0
+        return self._dim(p, self.coeff_degree(q))
 
     def _budget_check(self, p: int, k: int) -> None:
-        dim_mid = math.comb(self.num_generators, p) * self.algebra.dim(k)
+        dim_mid = self._dim(p, k)
         est = dim_mid * max(p, 1) * self.algebra.max_terms
         if dim_mid > self.entry_budget or est > self.entry_budget:
             raise ResourceLimitError(
@@ -662,8 +668,7 @@ class KoszulComplex:
 
     # -- assembly -------------------------------------------------------------
 
-    def differential_matrix(self, p: int, k: int,
-                            field: PrimeField | int | None = None, *,
+    def differential_matrix(self, p: int, k: int, *,
                             keep: Sequence[int] | None = None) -> SparseMatrix:
         """The map wedge^p (x) A_k -> wedge^{p-1} (x) A_{k+d} as residues.
 
@@ -672,30 +677,29 @@ class KoszulComplex:
         weights from `_weights` there: such a matrix is good only for
         `rank(weights)` with those same weights.
         """
-        mod = self.field.modulus if field is None else _as_field(field).modulus
-        nb = self.num_generators
-        n_src = math.comb(nb, p) * self.algebra.dim(k) if 0 <= p <= nb else 0
-        rows = math.comb(nb, p - 1) * self.algebra.dim(k + self.d) if p > 0 else 0
+        mod = self.field.modulus
+        n_src, rows = self._dim(p, k), self._dim(p - 1, k + self.d)
         if n_src == 0 or rows == 0:
             # every column is one shared empty tuple, a single pointer: a zero
             # map has no entries, so the entry budget does not bound its columns
             return SparseMatrix(rows, n_src, mod, [()] * n_src)
         self._budget_check(p, k)
         if n_src * p < _ARRAY_PATH_MIN_ENTRIES:
-            cols_data = self._columns_by_loop(p, k, mod, keep)
+            cols_data = self._columns_by_loop(p, k, keep)
         else:
-            cols_data = self._columns_by_arrays(p, k, mod, keep)
+            cols_data = self._columns_by_arrays(p, k, keep)
         return SparseMatrix(rows, n_src, mod, cols_data)
 
-    def _table(self, k: int, mod: int) -> _ProductTable:
-        table = self._tables.get((k, mod))
+    def _table(self, k: int) -> _ProductTable:
+        table = self._tables.get(k)
         if table is None:
-            table = self._tables[k, mod] = _ProductTable(self._gens, self.algebra, k, mod)
+            table = self._tables[k] = _ProductTable(self._gens, self.algebra, k,
+                                                    self.field.modulus)
         return table
 
-    def _weights(self, p: int, k: int, mod: int) -> list[int]:
+    def _weights(self, p: int, k: int) -> list[int]:
         """Block weight of each column of d_p, wedge by wedge."""
-        table = self._table(k, mod)
+        table = self._table(k)
         out: list[int] = []
         for combo in wedge_basis(self.num_generators, p):
             out += table.wedge_weights(combo)
@@ -703,14 +707,15 @@ class KoszulComplex:
 
     # -- the per-column loop: small differentials, and the referee --------------
 
-    def _columns_by_loop(self, p: int, k: int, mod: int,
+    def _columns_by_loop(self, p: int, k: int,
                          keep: Sequence[int] | None) -> list[Sequence[tuple[int, int]]]:
         """The columns of d_p, one dict of entries per column.
 
         With `keep` only the columns where it is nonzero are filled; the rest
         are one shared empty tuple, like every column without entries.
         """
-        table = self._table(k, mod)
+        mod = self.field.modulus
+        table = self._table(k)
         n_src_c, n_dst_c = table.n_src, table.n_dst
         combos = wedge_basis(self.num_generators, p)
         cols_data: list[Sequence[tuple[int, int]]] = [()] * (len(combos) * n_src_c)
@@ -732,7 +737,7 @@ class KoszulComplex:
 
     # -- the array path ------------------------------------------------------------
 
-    def _columns_by_arrays(self, p: int, k: int, mod: int,
+    def _columns_by_arrays(self, p: int, k: int,
                            keep: Sequence[int] | None) -> list[Sequence[tuple[int, int]]]:
         """The columns of d_p, gathered from the product table in numpy.
 
@@ -744,7 +749,8 @@ class KoszulComplex:
         different sub-wedges and a product's targets are distinct, so no two
         entries of a column share a row. Same columns as `_columns_by_loop`.
         """
-        table = self._table(k, mod)
+        mod = self.field.modulus
+        table = self._table(k)
         res, tgt = table.arrays()
         n_src_c, width = res.shape[1], res.shape[2]
         nb = self.num_generators
@@ -787,13 +793,12 @@ class KoszulComplex:
         The check is the one `kpq_dim` runs on its first visit to (p, q).
         """
         k = self.coeff_degree(q)
-        d_p, d_p1 = self._checked_differentials(p, q, self.field)
-        nb = self.num_generators
+        d_p, d_p1 = self._checked_differentials(p, q)
         return ComplexSlice(
             p=p, q=q, coeff_degree=k,
-            left_dim=math.comb(nb, p + 1) * self.algebra.dim(k - self.d),
-            middle_dim=math.comb(nb, p) * self.algebra.dim(k),
-            right_dim=math.comb(nb, p - 1) * self.algebra.dim(k + self.d) if p >= 1 else 0,
+            left_dim=self._dim(p + 1, k - self.d),
+            middle_dim=self._dim(p, k),
+            right_dim=self._dim(p - 1, k + self.d),
             d_p=d_p or self.differential_matrix(p, k),
             d_p_plus_1=d_p1 or self.differential_matrix(p + 1, k - self.d),
         )
@@ -802,11 +807,9 @@ class KoszulComplex:
 
     def _nontrivial(self, p: int, k: int) -> bool:
         """Whether the differential leaving wedge^p (x) A_k can have nonzero rank."""
-        if p <= 0 or p > self.num_generators:
-            return False
-        return self.algebra.dim(k) > 0 and self.algebra.dim(k + self.d) > 0
+        return self._dim(p, k) > 0 and self._dim(p - 1, k + self.d) > 0
 
-    def _checked_differentials(self, p: int, q: int, field: PrimeField
+    def _checked_differentials(self, p: int, q: int
                                ) -> tuple[SparseMatrix | None, SparseMatrix | None]:
         """Verify d_p d_{p+1} = 0 around (p, q) and record the cell as checked.
 
@@ -816,59 +819,48 @@ class KoszulComplex:
         k = self.coeff_degree(q)
         d_p = d_p1 = None
         if self._nontrivial(p, k) and self._nontrivial(p + 1, k - self.d):
-            d_p = self.differential_matrix(p, k, field)
-            d_p1 = self.differential_matrix(p + 1, k - self.d, field)
+            d_p = self.differential_matrix(p, k)
+            d_p1 = self.differential_matrix(p + 1, k - self.d)
             if not d_p.compose_is_zero(d_p1):
                 raise InconsistencyError(
                     f"chain condition failed at p={p}, q={q}: the composed "
-                    f"differentials are nonzero mod {field.modulus}"
+                    f"differentials are nonzero mod {self.field.modulus}"
                 )
-        self._chain_checked.add((p, q, field.modulus))
+        self._chain_checked.add((p, q))
         return d_p, d_p1
 
-    def _rank(self, p: int, k: int, field: PrimeField,
-              mat: SparseMatrix | None = None) -> int:
+    def _rank(self, p: int, k: int, mat: SparseMatrix | None = None) -> int:
         if not self._nontrivial(p, k):
             return 0
-        key = (p, k, field.modulus)
-        if key not in self._raw_ranks:
+        if (p, k) not in self._raw_ranks:
             weights = None
             if self.algebra.multigraded:
                 self._budget_check(p, k)  # before the weights list every column
-                weights = self._weights(p, k, field.modulus)
+                weights = self._weights(p, k)
             if mat is None:
-                mat = self.differential_matrix(p, k, field, keep=weights)
-            self._raw_ranks[key] = mat.rank(weights)
-        return self._raw_ranks[key]
+                mat = self.differential_matrix(p, k, keep=weights)
+            self._raw_ranks[p, k] = mat.rank(weights)
+        return self._raw_ranks[p, k]
 
-    def kpq_dim(self, p: int, q: int, field: PrimeField | int | None = None) -> int:
+    def kpq_dim(self, p: int, q: int) -> int:
         """dim K_{p,q} over the field: dim ker d_p minus rank d_{p+1}."""
-        return self._dim_and_checked_d_p(p, q, field)[0]
-
-    def _dim_and_checked_d_p(self, p: int, q: int, field: PrimeField | int | None = None
-                             ) -> tuple[int, SparseMatrix | None]:
-        """`kpq_dim`, with the full d_p when this call's chain check assembled it."""
-        field = self.field if field is None else _as_field(field)
-        if p < 0:
-            return 0, None
-        k = self.coeff_degree(q)
         mid = self.middle_dim(p, q)
         if mid == 0:
-            return 0, None
+            return 0
+        k = self.coeff_degree(q)
         d_p = d_p1 = None
-        if (p, q, field.modulus) not in self._chain_checked:
-            d_p, d_p1 = self._checked_differentials(p, q, field)
-        dim = mid - self._rank(p, k, field, d_p) - self._rank(p + 1, k - self.d, field, d_p1)
+        if (p, q) not in self._chain_checked:
+            d_p, d_p1 = self._checked_differentials(p, q)
+        dim = mid - self._rank(p, k, d_p) - self._rank(p + 1, k - self.d, d_p1)
         if dim < 0:
             raise InconsistencyError(
                 f"negative homology dimension {dim} at p={p}, q={q}: rank bookkeeping is broken"
             )
-        return dim, d_p
+        return dim
 
-    def betti_row(self, q: int, p_range: Iterable[int],
-                  field: PrimeField | int | None = None) -> list[int]:
+    def betti_row(self, q: int, p_range: Iterable[int]) -> list[int]:
         """dim K_{p,q} for each p in p_range (shared caches across the row)."""
-        return [self.kpq_dim(p, q, field) for p in p_range]
+        return [self.kpq_dim(p, q) for p in p_range]
 
     # -- elements ----------------------------------------------------------------
 
@@ -929,20 +921,18 @@ class KoszulComplex:
             raise ParameterError(f"element index outside the {mid}-dimensional middle basis")
         return vec
 
-    def is_cycle(self, element, p: int, q: int, field: PrimeField | int | None = None) -> bool:
+    def is_cycle(self, element, p: int, q: int) -> bool:
         """True when the outgoing differential kills the element."""
-        field = self.field if field is None else _as_field(field)
         vec = self._coerce_element(element, p, q)
         if not vec:
             return True
-        mat = self.differential_matrix(p, self.coeff_degree(q), field)
+        mat = self.differential_matrix(p, self.coeff_degree(q))
         return not mat.apply(vec)
 
-    def is_boundary(self, element, p: int, q: int, field: PrimeField | int | None = None) -> bool:
+    def is_boundary(self, element, p: int, q: int) -> bool:
         """True when the element is hit by the incoming differential."""
-        field = self.field if field is None else _as_field(field)
         vec = self._coerce_element(element, p, q)
         if not vec:
             return True
-        mat = self.differential_matrix(p + 1, self.coeff_degree(q) - self.d, field)
+        mat = self.differential_matrix(p + 1, self.coeff_degree(q) - self.d)
         return mat.solve_consistent(vec)

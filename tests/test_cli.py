@@ -255,7 +255,7 @@ class TestBettiCommand:
             "dp_b0_q2_p11.txt", "dp_b0_q2_p12.txt"]
 
     def test_dump_dir_writes_the_checked_differential(self, capsys, tmp_path, monkeypatch):
-        # at a chain-check cell the d_p that kpq_dim composed is the one written
+        # every cell's file holds its full d_p, the one the chain check composes
         calls = []
         real = KoszulComplex.differential_matrix
 
@@ -268,7 +268,6 @@ class TestBettiCommand:
         assert len(calls) == 20
         calls.clear()
         dumped = run_json(capsys, "betti", "--n", "2", "--d", "3", "--dump-dir", str(tmp_path))
-        assert len(calls) == 46
         assert dumped["rows"] == plain["rows"]
         for row in dumped["rows"]:
             for p in range(dumped["p_range"][0], dumped["p_range"][1] + 1):
@@ -309,6 +308,20 @@ class TestSweepCommand:
         assert doc["checked"] > 0
         assert doc["primes"] == [32003, 1000003]
         assert doc["grid"] == [{"n": 1, "d": 2}, {"n": 1, "d": 3}]
+
+    def test_ranges_sweep_asks_each_prime_its_own_complex(self, capsys, monkeypatch):
+        real = KoszulComplex.kpq_dim
+
+        def skewed(cx, p, q):
+            return real(cx, p, q) + ((p, q) == (2, 1) and cx.field.modulus == 1000003)
+
+        monkeypatch.setattr(KoszulComplex, "kpq_dim", skewed)
+        doc = run_json(capsys, "sweep", "--check", "ranges", "--grid", "n=1,d=3",
+                       "--primes", "32003,1000003")
+        flags = doc["cells"][0]["characteristic_flags"]
+        # (p, q) = (2, 1) is probed at b = 0 and b = 1; b = 2 has an empty q = 1 interval
+        assert [(f["b"], f["q"], f["p"]) for f in flags] == [(0, 1, 2), (1, 1, 2)]
+        assert all(f["dims"]["1000003"] == f["dims"]["32003"] + 1 for f in flags)
 
     def test_ranges_sweep_records_boundaries(self, capsys):
         doc = run_json(capsys, "sweep", "--check", "ranges", "--grid", "n=1,d=3")
