@@ -158,38 +158,27 @@ def hypersurface_spec(e: int, ambient_m: int,
         raise ACMSpecError(f"ambient dimension must be >= 2, got {ambient_m}")
     n = ambient_m - 1
     if relation is None:
-        fermat = []
-        for k in range(e):
-            if k == 0:
-                terms = {}
-                for i in range(n + 1):
-                    exp = [0] * (n + 1)
-                    exp[i] = e
-                    terms[tuple(exp)] = 1
-                fermat.append(terms)
-            else:
-                fermat.append({})
-        rel_coeffs = fermat
+        fermat = [(1, tuple(e * (j == i) for j in range(n + 1))) for i in range(n + 1)]
+        relation = [fermat] + [[]] * (e - 1)
         if name is None:
             name = f"fermat-{e}-p{ambient_m}"
-    else:
-        if len(relation) != e:
-            raise ACMSpecError(f"relation needs {e} coefficient lists, got {len(relation)}")
-        rel_coeffs = []
-        for k, terms in enumerate(relation):
-            poly: dict[tuple[int, ...], int] = {}
-            for coeff, x_exp in terms:
-                x_exp = tuple(x_exp)
-                if len(x_exp) != n + 1 or any(v < 0 for v in x_exp):
-                    raise ACMSpecError(f"bad x-exponents {x_exp} in relation coefficient {k}")
-                if sum(x_exp) != e - k:
-                    raise ACMSpecError(
-                        f"relation coefficient of t^{k} must be homogeneous of degree {e - k}"
-                    )
-                poly[x_exp] = poly.get(x_exp, 0) + coeff
-            rel_coeffs.append({m: c for m, c in poly.items() if c})
-        if name is None:
-            name = f"hypersurface-{e}-p{ambient_m}"
+    if len(relation) != e:
+        raise ACMSpecError(f"relation needs {e} coefficient lists, got {len(relation)}")
+    rel_coeffs = []
+    for k, terms in enumerate(relation):
+        poly: dict[tuple[int, ...], int] = {}
+        for coeff, x_exp in terms:
+            x_exp = tuple(x_exp)
+            if len(x_exp) != n + 1 or any(v < 0 for v in x_exp):
+                raise ACMSpecError(f"bad x-exponents {x_exp} in relation coefficient {k}")
+            if sum(x_exp) != e - k:
+                raise ACMSpecError(
+                    f"relation coefficient of t^{k} must be homogeneous of degree {e - k}"
+                )
+            poly[x_exp] = poly.get(x_exp, 0) + coeff
+        rel_coeffs.append({m: c for m, c in poly.items() if c})
+    if name is None:
+        name = f"hypersurface-{e}-p{ambient_m}"
 
     table = []
     for i in range(e):

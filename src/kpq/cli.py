@@ -29,7 +29,7 @@ from pathlib import Path
 from . import acm as _acm
 from . import ranges as _ranges
 from . import witness as _witness
-from .combinatorics import TruncatedRing, binom, truncated_dim
+from .combinatorics import TruncatedRing, binom
 from .errors import (
     InconsistencyError,
     ParameterError,
@@ -314,7 +314,6 @@ def cmd_betti(args: argparse.Namespace, cfg: RunConfig) -> dict:
             raise ParameterError("betti over an ACM spec needs --d")
         n, d = spec.n, args.d
         ring_or_spec = spec
-        top_p = _acm.invariants(spec, d).r_bar_d
     else:
         if args.n is None or args.d is None:
             raise ParameterError("betti needs --n and --d (or --acm with --d)")
@@ -322,13 +321,14 @@ def cmd_betti(args: argparse.Namespace, cfg: RunConfig) -> dict:
         if n < 1:
             raise ParameterError(f"n must be >= 1, got {n}")
         ring_or_spec = TruncatedRing(n + 1, d)
-        top_p = truncated_dim(TruncatedRing(n + 1, d), d)
     q_lo, q_hi = _parse_span(args.q_range, "--q-range") if args.q_range else (0, n + 1)
-    p_lo, p_hi = _parse_span(args.p_range, "--p-range") if args.p_range else (0, top_p)
-    p_lo = max(p_lo, 0)
+    p_span = _parse_span(args.p_range, "--p-range") if args.p_range else None
 
     cx = KoszulComplex(ring_or_spec, d=(d if args.acm else None), b=args.b,
                        field=cfg.field_prime, entry_budget=cfg.size_budget)
+    # the top wedge index is the number of degree-d generators
+    p_lo, p_hi = p_span or (0, cx.num_generators)
+    p_lo = max(p_lo, 0)
     dump_dir = Path(args.dump_dir) if args.dump_dir else None
     if dump_dir:
         dump_dir.mkdir(parents=True, exist_ok=True)
@@ -408,11 +408,11 @@ def parse_grid(text: str) -> list[tuple[int, int]]:
 
 
 def _admissible_bq(n: int, d: int):
+    # q <= n + 1 for every admissible (b, q)
     for b in range(d):
-        q = 0
-        while q * d <= (n + 1) * d - n - b:
-            yield b, q
-            q += 1
+        for q in range(n + 2):
+            if _ranges.admissible_q(_ranges.VeroneseParams(n, d, b, q)):
+                yield b, q
 
 
 def _complexes(n: int, d: int, prime: int, budget: int):
@@ -463,12 +463,10 @@ def _sweep_ranges_cell(n: int, d: int, primes: list[int], budget: int) -> dict:
 
 def _sweep_duality_cell(n: int, d: int, primes: list[int], budget: int) -> dict:
     cell = {"n": n, "d": d, "checked": 0, "failures": [], "skipped": []}
-    prime = primes[0]
-    s_d = truncated_dim(TruncatedRing(n + 1, d), d)
-    cx_for = _complexes(n, d, prime, budget)
+    cx_for = _complexes(n, d, primes[0], budget)
     for b, q in _admissible_bq(n, d):
         try:
-            for p in range(s_d + 1):
+            for p in range(cx_for(b).num_generators + 1):
                 dim = cx_for(b).kpq_dim(p, q)
                 dual = _ranges.dual_params(_ranges.VeroneseParams(n, d, b, q), p)
                 if dual.trivially_zero:
@@ -489,14 +487,12 @@ def _sweep_duality_cell(n: int, d: int, primes: list[int], budget: int) -> dict:
 
 def _sweep_shift_cell(n: int, d: int, primes: list[int], budget: int) -> dict:
     cell = {"n": n, "d": d, "checked": 0, "failures": [], "skipped": []}
-    prime = primes[0]
-    s_d = truncated_dim(TruncatedRing(n + 1, d), d)
     # b and b - d never coincide, so the shifted side is a separate recomputation
-    cx_for = _complexes(n, d, prime, budget)
+    cx_for = _complexes(n, d, primes[0], budget)
     for b, q in _admissible_bq(n, d):
         cx, cx_shift = cx_for(b), cx_for(b - d)
         try:
-            for p in range(s_d + 1):
+            for p in range(cx.num_generators + 1):
                 dim = cx.kpq_dim(p, q)
                 shifted = cx_shift.kpq_dim(p, q + 1)
                 cell["checked"] += 1

@@ -23,7 +23,9 @@ table, and one `np.flatnonzero` over a (wedge, coefficient, removed
 position, term) array lists the entries in column order, rows ascending.
 Below that size the fixed cost of those numpy calls is more than the whole
 job, so a per-column loop reads the same table; the tests hold the two paths
-to identical columns. Neither path holds a wedge array past its call.
+to identical columns. Both write the flat column lists of `SparseMatrix`
+directly, and neither holds a wedge array past its call. Every assembled
+matrix is the whole differential.
 
 All linear algebra is exact over GF(p). Matrices are sparse and decompose
 into blocks along the connected components of their row/column incidence
@@ -43,16 +45,13 @@ weight |S_{n+1} . alpha| = (n+1)! / prod(mult!) when alpha is sorted
 (nondecreasing) and 0 otherwise. `KoszulComplex._rank` lists these weights
 once per differential (`_weights`) and passes them to `SparseMatrix.rank`,
 which splits only the columns of nonzero weight and adds up weight times rank
-over those blocks; the matrix itself carries no weight. A differential that
-`kpq_dim` assembles only for its rank gets the same list as `keep` and fills
-just the columns of nonzero weight, in either path. ACM rings have no such
-grading (the Fermat relation is not multigraded), so their ranks take no
-weights and every block counts once.
+over those blocks; the matrix itself carries no weight. ACM rings have no
+such grading (the Fermat relation is not multigraded), so their ranks take
+no weights and every block counts once.
 
 Where `kpq_dim` first visits a cell whose two differentials are both
-nontrivial, it assembles both in full, checks that they compose to zero, and
-ranks those full matrices. `slice`, `differential`, `is_cycle` and
-`is_boundary` always work on full matrices.
+nontrivial, it checks that they compose to zero and ranks those same
+matrices.
 """
 
 from __future__ import annotations
@@ -227,22 +226,27 @@ def _orbit_size(key: tuple[int, ...]) -> int:
 
 
 class SparseMatrix:
-    """Column-major sparse matrix of residues mod an odd prime.
+    """Sparse matrix of residues mod an odd prime, in compressed sparse columns.
 
-    Invariants: one entry per (row, col); stored residues lie in [1, p-1].
-    Nothing is cached: `KoszulComplex` keeps the ranks it needs.
+    `ptr` has cols + 1 offsets; column c holds the rows idx[ptr[c]:ptr[c+1]],
+    strictly ascending, with the residues val[ptr[c]:ptr[c+1]], each in
+    [1, p-1]. All three are plain Python lists. Nothing is cached:
+    `KoszulComplex` keeps the ranks it needs.
     """
 
     def __init__(self, rows: int, cols: int, modulus: int,
-                 cols_data: list[Sequence[tuple[int, int]]]):
+                 ptr: list[int], idx: list[int], val: list[int]):
         self.rows = rows
         self.cols = cols
         self.modulus = modulus
-        self._cols = cols_data
+        self.ptr = ptr
+        self.idx = idx
+        self.val = val
 
     @classmethod
     def from_triplets(cls, rows: int, cols: int, modulus: int,
                       triplets: Iterable[tuple[int, int, int]]) -> "SparseMatrix":
+        """The matrix of summed triplets: repeated (row, col) add up, zeros drop."""
         field = PrimeField(modulus)
         if rows < 0 or cols < 0:
             raise ParameterError(f"matrix dimensions must be >= 0, got {rows}x{cols}")
@@ -251,21 +255,28 @@ class SparseMatrix:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ParameterError(f"entry ({r}, {c}) outside a {rows}x{cols} matrix")
             acc[c][r] = (acc[c].get(r, 0) + v) % field.modulus
-        data = [sorted((r, v) for r, v in col.items() if v) for col in acc]
-        return cls(rows, cols, modulus, data)
+        ptr, idx, val = [0], [], []
+        for col in acc:
+            for r in sorted(col):
+                if col[r]:
+                    idx.append(r)
+                    val.append(col[r])
+            ptr.append(len(idx))
+        return cls(rows, cols, modulus, ptr, idx, val)
 
     @property
     def nnz(self) -> int:
-        return sum(len(c) for c in self._cols)
+        return len(self.idx)
 
     def triplets(self) -> Iterable[tuple[int, int, int]]:
-        for c, col in enumerate(self._cols):
-            for r, v in col:
-                yield r, c, v
+        ptr = self.ptr
+        for c in range(self.cols):
+            for i in range(ptr[c], ptr[c + 1]):
+                yield self.idx[i], c, self.val[i]
 
     # -- block decomposition ------------------------------------------------
 
-    def _component_split(self, columns: Sequence[int] | None = None
+    def _component_split(self, columns: Iterable[int] | None = None
                          ) -> list[tuple[list[int], list[int]]]:
         """Connected components of the bipartite row/column graph.
 
@@ -274,6 +285,7 @@ class SparseMatrix:
         component only if a chain of shared rows links them. Only nonempty
         columns are visited, and only those in `columns` when it is given.
         """
+        ptr, idx = self.ptr, self.idx
         parent = list(range(self.cols + self.rows))
 
         def find(x: int) -> int:
@@ -283,9 +295,9 @@ class SparseMatrix:
             return x
 
         columns = [c for c in (range(self.cols) if columns is None else columns)
-                   if self._cols[c]]
+                   if ptr[c] < ptr[c + 1]]
         for c in columns:
-            for r, _ in self._cols[c]:
+            for r in idx[ptr[c]:ptr[c + 1]]:
                 ra, rb = find(c), find(self.cols + r)
                 if ra != rb:
                     parent[rb] = ra
@@ -293,7 +305,7 @@ class SparseMatrix:
         for c in columns:
             cols_g, rows_g = groups.setdefault(find(c), ([], set()))
             cols_g.append(c)
-            rows_g.update(r for r, _ in self._cols[c])
+            rows_g.update(idx[ptr[c]:ptr[c + 1]])
         return [(cols_g, sorted(rows_g)) for cols_g, rows_g in groups.values()]
 
     def rank(self, weights: Sequence[int] | None = None) -> int:
@@ -306,18 +318,19 @@ class SparseMatrix:
         if weights is None:
             return sum(self._block_rank(cols_g, rows_g)
                        for cols_g, rows_g in self._component_split())
-        columns = [c for c, col in enumerate(self._cols) if col and weights[c]]
+        columns = itertools.compress(range(self.cols), weights)
         return sum(weights[cols_g[0]] * self._block_rank(cols_g, rows_g)
                    for cols_g, rows_g in self._component_split(columns))
 
     def _block_rank(self, cols_g: list[int], rows_g: list[int],
                     rhs: dict[int, int] | None = None) -> int:
+        ptr, idx, val = self.ptr, self.idx, self.val
         rpos = {r: i for i, r in enumerate(rows_g)}
         width = len(cols_g) + (1 if rhs is not None else 0)
         block = np.zeros((len(rows_g), width), dtype=np.int64)
         for j, c in enumerate(cols_g):
-            for r, v in self._cols[c]:
-                block[rpos[r], j] = v
+            for i in range(ptr[c], ptr[c + 1]):
+                block[rpos[idx[i]], j] = val[i]
         if rhs is not None:
             for r, v in rhs.items():
                 block[rpos[r], len(cols_g)] = v % self.modulus
@@ -354,22 +367,32 @@ class SparseMatrix:
         for c, v in vec.items():
             if v % p == 0:
                 continue
-            for r, w in self._cols[c]:
+            a, b = self.ptr[c], self.ptr[c + 1]
+            for r, w in zip(self.idx[a:b], self.val[a:b]):
                 out[r] = (out.get(r, 0) + v * w) % p
         return {r: v for r, v in out.items() if v}
 
     def compose_is_zero(self, other: "SparseMatrix") -> bool:
-        """True when self @ other vanishes (the chain condition)."""
+        """True when self @ other vanishes (the chain condition).
+
+        Entry (m, c, v) of `other` meets column m of self; the products, each
+        reduced below p, are summed per (row, c) after one sort on that key.
+        """
         if other.rows != self.cols:
             raise ParameterError("shape mismatch in composition")
-        for c in range(other.cols):
-            acc: dict[int, int] = {}
-            for r_mid, v in other._cols[c]:
-                for r2, w in self._cols[r_mid]:
-                    acc[r2] = (acc.get(r2, 0) + v * w) % self.modulus
-            if any(acc.values()):
-                return False
-        return True
+        p = self.modulus
+        ptr, idx, val, mid, mid_val = (np.array(a, dtype=np.int64) for a in (
+            self.ptr, self.idx, self.val, other.idx, other.val))
+        lens = ptr[mid + 1] - ptr[mid]
+        # the positions in idx of column m, for each entry's m in turn
+        at = np.repeat(ptr[mid] - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+        cols = np.repeat(np.repeat(np.arange(other.cols), np.diff(other.ptr)), lens)
+        key = cols * self.rows + idx[at]
+        order = np.argsort(key)
+        key, terms = key[order], (np.repeat(mid_val, lens) * val[at] % p)[order]
+        if key.size == 0:
+            return True
+        return not (np.add.reduceat(terms, np.flatnonzero(np.diff(key, prepend=-1))) % p).any()
 
     # -- interchange ---------------------------------------------------------
 
@@ -668,27 +691,17 @@ class KoszulComplex:
 
     # -- assembly -------------------------------------------------------------
 
-    def differential_matrix(self, p: int, k: int, *,
-                            keep: Sequence[int] | None = None) -> SparseMatrix:
-        """The map wedge^p (x) A_k -> wedge^{p-1} (x) A_{k+d} as residues.
-
-        With `keep`, one number per column, only the columns where it is
-        nonzero are filled and the rest stay empty. `_rank` passes the block
-        weights from `_weights` there: such a matrix is good only for
-        `rank(weights)` with those same weights.
-        """
+    def differential_matrix(self, p: int, k: int) -> SparseMatrix:
+        """The map wedge^p (x) A_k -> wedge^{p-1} (x) A_{k+d} as residues."""
         mod = self.field.modulus
         n_src, rows = self._dim(p, k), self._dim(p - 1, k + self.d)
         if n_src == 0 or rows == 0:
-            # every column is one shared empty tuple, a single pointer: a zero
-            # map has no entries, so the entry budget does not bound its columns
-            return SparseMatrix(rows, n_src, mod, [()] * n_src)
+            # a zero map has no entries, so the entry budget does not bound its columns
+            return SparseMatrix(rows, n_src, mod, [0] * (n_src + 1), [], [])
         self._budget_check(p, k)
         if n_src * p < _ARRAY_PATH_MIN_ENTRIES:
-            cols_data = self._columns_by_loop(p, k, keep)
-        else:
-            cols_data = self._columns_by_arrays(p, k, keep)
-        return SparseMatrix(rows, n_src, mod, cols_data)
+            return SparseMatrix(rows, n_src, mod, *self._columns_by_loop(p, k))
+        return SparseMatrix(rows, n_src, mod, *self._columns_by_arrays(p, k))
 
     def _table(self, k: int) -> _ProductTable:
         table = self._tables.get(k)
@@ -707,47 +720,42 @@ class KoszulComplex:
 
     # -- the per-column loop: small differentials, and the referee --------------
 
-    def _columns_by_loop(self, p: int, k: int,
-                         keep: Sequence[int] | None) -> list[Sequence[tuple[int, int]]]:
-        """The columns of d_p, one dict of entries per column.
+    def _columns_by_loop(self, p: int, k: int) -> tuple[list[int], list[int], list[int]]:
+        """The columns of d_p as (ptr, idx, val), one column at a time.
 
-        With `keep` only the columns where it is nonzero are filled; the rest
-        are one shared empty tuple, like every column without entries.
+        Each column removes the wedge factors from last to first: removing a
+        later factor gives a smaller sub-wedge, and a product's targets
+        ascend, so the entries come in ascending row order with no repeated
+        row (see `_columns_by_arrays`).
         """
         mod = self.field.modulus
         table = self._table(k)
-        n_src_c, n_dst_c = table.n_src, table.n_dst
-        combos = wedge_basis(self.num_generators, p)
-        cols_data: list[Sequence[tuple[int, int]]] = [()] * (len(combos) * n_src_c)
-        for w, combo in enumerate(combos):
-            sub_ranks = [colex_rank(combo[:t] + combo[t + 1:]) * n_dst_c for t in range(p)]
-            for j in range(n_src_c):
-                if keep is not None and not keep[w * n_src_c + j]:
-                    continue
-                entries: dict[int, int] = {}
-                for t in range(p):
-                    sign = -1 if t % 2 else 1
-                    for res, tj in table.terms[combo[t]][j]:
-                        r = sub_ranks[t] + tj
-                        entries[r] = (entries.get(r, 0) + sign * res) % mod
-                col = sorted((r, v) for r, v in entries.items() if v)
-                if col:
-                    cols_data[w * n_src_c + j] = col
-        return cols_data
+        n_dst = table.n_dst
+        ptr, idx, val = [0], [], []
+        for combo in wedge_basis(self.num_generators, p):
+            removals = [(colex_rank(combo[:t] + combo[t + 1:]) * n_dst,
+                         table.terms[combo[t]], t % 2) for t in range(p - 1, -1, -1)]
+            for j in range(table.n_src):
+                for base, terms, odd in removals:
+                    for res, tj in terms[j]:
+                        idx.append(base + tj)
+                        val.append(mod - res if odd else res)
+                ptr.append(len(idx))
+        return ptr, idx, val
 
     # -- the array path ------------------------------------------------------------
 
-    def _columns_by_arrays(self, p: int, k: int,
-                           keep: Sequence[int] | None) -> list[Sequence[tuple[int, int]]]:
-        """The columns of d_p, gathered from the product table in numpy.
+    def _columns_by_arrays(self, p: int, k: int) -> tuple[list[int], list[int], list[int]]:
+        """The columns of d_p as (ptr, idx, val), gathered from the product table in numpy.
 
         For each chunk of wedges, one (wedge, coefficient, position, term)
         array holds the product residues with the wedge positions reversed:
         removing a later factor gives a smaller sub-wedge, so C order over it
         is column order with rows ascending, and `np.flatnonzero` lists the
-        entries ready to be cut into columns. Removing different factors gives
-        different sub-wedges and a product's targets are distinct, so no two
-        entries of a column share a row. Same columns as `_columns_by_loop`.
+        entries ready to append. Removing different factors gives different
+        sub-wedges and a product's targets are distinct, so no two entries of
+        a column share a row; every residue is nonzero, and so is its negative.
+        Same lists as `_columns_by_loop`.
         """
         mod = self.field.modulus
         table = self._table(k)
@@ -756,8 +764,9 @@ class KoszulComplex:
         nb = self.num_generators
         all_combos = _colex_array(nb, p)
         binom = _binomial_table(nb, p)
-        kept = None if keep is None else np.array(keep, dtype=bool).reshape(-1, n_src_c)
-        cols_data: list[Sequence[tuple[int, int]]] = [()] * (len(all_combos) * n_src_c)
+        counts = np.zeros(len(all_combos) * n_src_c + 1, dtype=np.int64)
+        idx: list[int] = []
+        val: list[int] = []
         # position t' of the reversed wedge removes factor t = p-1-t', sign (-1)^t
         negate = np.arange(p - 1, -1, -1) % 2 == 1
         coeff_index = np.arange(n_src_c)[None, :, None]
@@ -767,21 +776,18 @@ class KoszulComplex:
             reversed_combos = combos[:, ::-1]
             sub_rows = _sub_wedge_ranks(combos, binom)[:, ::-1] * table.n_dst
             cells = res[reversed_combos[:, None, :], coeff_index]
-            if kept is not None:
-                cells *= kept[w0:w0 + step, :, None, None]
             flat = np.flatnonzero(cells)
             slot, rest = flat % width, flat // width
             pos, col = rest % p, rest // p
             w, j = col // n_src_c, col % n_src_c
             rows = sub_rows[w, pos] + tgt[reversed_combos[w, pos], j, slot]
             vals = cells.ravel()[flat]
-            vals = np.where(negate[pos], mod - vals, vals)
-            starts = np.flatnonzero(np.diff(col, prepend=-1))
-            bounds = np.append(starts, len(col)).tolist()
-            pairs = list(zip(rows.tolist(), vals.tolist()))
-            for c, a, b in zip((col[starts] + w0 * n_src_c).tolist(), bounds, bounds[1:]):
-                cols_data[c] = pairs[a:b]
-        return cols_data
+            idx += rows.tolist()
+            val += np.where(negate[pos], mod - vals, vals).tolist()
+            start = w0 * n_src_c + 1
+            counts[start:start + len(combos) * n_src_c] = np.bincount(
+                col, minlength=len(combos) * n_src_c)
+        return np.cumsum(counts).tolist(), idx, val
 
     def differential(self, p: int, q: int) -> SparseMatrix:
         """The outgoing differential of the (p, q) middle term."""
@@ -833,12 +839,9 @@ class KoszulComplex:
         if not self._nontrivial(p, k):
             return 0
         if (p, k) not in self._raw_ranks:
-            weights = None
-            if self.algebra.multigraded:
-                self._budget_check(p, k)  # before the weights list every column
-                weights = self._weights(p, k)
             if mat is None:
-                mat = self.differential_matrix(p, k, keep=weights)
+                mat = self.differential_matrix(p, k)
+            weights = self._weights(p, k) if self.algebra.multigraded else None
             self._raw_ranks[p, k] = mat.rank(weights)
         return self._raw_ranks[p, k]
 

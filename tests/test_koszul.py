@@ -179,6 +179,29 @@ class TestSparseMatrix:
         with pytest.raises(ParameterError):
             a.compose_is_zero(a)
 
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
+           st.sampled_from([3, 5, DEFAULT_PRIME, LARGEST_PRIME]), st.booleans(), st.data())
+    @settings(max_examples=80)
+    def test_compose_matches_reference(self, rows, mid, cols, p, vanish, data):
+        # [A | -AB] @ [B; I] vanishes; without `vanish` one entry of I moves
+        def dense(n, m):
+            return data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=m, max_size=m),
+                                      min_size=n, max_size=n))
+
+        def sparse(mat):
+            trips = [(r, c, v) for r, row in enumerate(mat) for c, v in enumerate(row) if v]
+            return SparseMatrix.from_triplets(len(mat), len(mat[0]), p, trips)
+
+        a, b = dense(rows, mid), dense(mid, cols)
+        left = [row + [-v % p for v in ab] for row, ab in zip(a, product_mod(a, b, p))]
+        right = b + [[int(i == j) for j in range(cols)] for i in range(cols)]
+        if not vanish:
+            i, j = data.draw(st.integers(0, cols - 1)), data.draw(st.integers(0, cols - 1))
+            right[mid + i][j] += data.draw(st.integers(1, p - 1))
+        expected = not any(map(any, product_mod(left, right, p)))
+        assert vanish <= expected
+        assert sparse(left).compose_is_zero(sparse(right)) == expected
+
     def test_triplet_text_round_trip(self):
         m = SparseMatrix.from_triplets(3, 2, 32003, [(0, 0, 5), (2, 1, -1)])
         text = m.to_triplet_text()
@@ -349,30 +372,6 @@ class TestOrbitRank:
             assert moved in groups
             assert self.degree_rank(mat, groups[moved]) == self.degree_rank(mat, groups[a])
 
-    @given(st.integers(1, 3), st.integers(2, 4),
-           st.sampled_from([3, 5, DEFAULT_PRIME, SECONDARY_PRIME]), st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_representative_matrix_matches_full(self, n, d, prime, data):
-        ring = TruncatedRing(n + 1, d)
-        nb = len(enumerate_monomials(ring, d))
-        order = data.draw(st.permutations(range(nb)))
-        cx = KoszulComplex(ring, field=prime, generator_order=order)
-        k = data.draw(st.integers(0, ring.top_degree - d))
-        small = [p for p in range(1, nb + 1)
-                 if math.comb(nb, p) * cx.algebra.dim(k) <= 3000]
-        p = data.draw(st.sampled_from(small))
-        weights = cx._weights(p, k)
-        full = cx.differential_matrix(p, k)
-        reps = cx.differential_matrix(p, k, keep=weights)
-        assert (reps.rows, reps.cols) == (full.rows, full.cols)
-        for c in range(full.cols):
-            a = alpha(cx, p, k, c)
-            if list(a) == sorted(a):
-                assert list(reps._cols[c]) == list(full._cols[c])
-            else:
-                assert not reps._cols[c]
-        assert reps.rank(weights) == full.rank(weights) == plain_rank(full)
-
     def test_one_elimination_per_orbit(self, monkeypatch):
         cx = KoszulComplex(TruncatedRing(3, 4))
         mat = cx.differential_matrix(5, 4)
@@ -425,21 +424,25 @@ class TestArrayPath:
     """The numpy gather of a differential against the per-column loop, on both sides of the threshold."""
 
     @staticmethod
-    def assert_same_columns(cx, p, k, prime, representatives):
-        keep = cx._weights(p, k) if representatives else None
-        loop = cx._columns_by_loop(p, k, keep)
-        arrays = cx._columns_by_arrays(p, k, keep)
-        mat = cx.differential_matrix(p, k, keep=keep)
-        assert len(loop) == len(arrays) == mat.cols
-        assert [list(col) for col in arrays] == [list(col) for col in loop]
-        assert [list(col) for col in mat._cols] == [list(col) for col in loop]
-        assert all(0 <= r < mat.rows and 0 < v < prime for col in loop for r, v in col)
+    def assert_same_columns(cx, p, k, prime):
+        loop = cx._columns_by_loop(p, k)
+        arrays = cx._columns_by_arrays(p, k)
+        mat = cx.differential_matrix(p, k)
+        assert arrays == loop
+        assert (mat.ptr, mat.idx, mat.val) == loop
+        assert len(mat.ptr) == mat.cols + 1 and mat.ptr[0] == 0 and mat.ptr[-1] == len(mat.idx)
+        for c in range(mat.cols):
+            rows = mat.idx[mat.ptr[c]:mat.ptr[c + 1]]
+            assert rows == sorted(set(rows)) and all(0 <= r < mat.rows for r in rows)
+        assert all(0 < v < prime for v in mat.val)
+        # the merging constructor rebuilds the same lists: nothing to merge or drop
+        again = SparseMatrix.from_triplets(mat.rows, mat.cols, prime, mat.triplets())
+        assert (again.ptr, again.idx, again.val) == loop
 
     @given(st.integers(1, 3), st.integers(2, 4),
-           st.sampled_from([3, 5, DEFAULT_PRIME, SECONDARY_PRIME, LARGEST_PRIME]),
-           st.booleans(), st.data())
+           st.sampled_from([3, 5, DEFAULT_PRIME, SECONDARY_PRIME, LARGEST_PRIME]), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_capped_ring(self, n, d, prime, representatives, data):
+    def test_capped_ring(self, n, d, prime, data):
         ring = TruncatedRing(n + 1, d)
         nb = len(enumerate_monomials(ring, d))
         order = data.draw(st.permutations(range(nb)))
@@ -448,7 +451,7 @@ class TestArrayPath:
         small = [p for p in range(1, nb + 1)
                  if math.comb(nb, p) * cx.algebra.dim(k) <= 3000]
         p = data.draw(st.sampled_from(small))
-        self.assert_same_columns(cx, p, k, prime, representatives)
+        self.assert_same_columns(cx, p, k, prime)
         expected = [orbit_weight(alpha(cx, p, k, c))
                     for c in range(math.comb(nb, p) * cx.algebra.dim(k))]
         assert cx._weights(p, k) == expected
@@ -464,7 +467,7 @@ class TestArrayPath:
                  if 0 < math.comb(nb, p) * cx.algebra.dim(k) <= 3000
                  and cx.algebra.dim(k + d) > 0]
         p, k = data.draw(st.sampled_from(cases))
-        self.assert_same_columns(cx, p, k, prime, False)
+        self.assert_same_columns(cx, p, k, prime)
         assert not cx.algebra.multigraded
 
     def test_degree_basis_has_dim_elements(self):
