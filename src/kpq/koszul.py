@@ -28,11 +28,11 @@ directly, and neither holds a wedge array past its call. Every assembled
 matrix is the whole differential.
 
 All linear algebra is exact over GF(p). Matrices are sparse and decompose
-into blocks along the connected components of their row/column incidence
-graph (the complex's internal multigrading, discovered by union-find); each
-block is eliminated densely in int64 with delayed reduction. The modulus is
-capped at MAX_MODULUS, where a product of two residues, (p-1)^2, still fits
-in int64, and the trailing block is reduced mod p every
+into blocks, the connected components of their row/column graph (the
+complex's internal multigrading), walked from seed columns. Each block is
+eliminated densely in int64 with delayed reduction; `is_boundary` eliminates
+only the blocks its vector meets. The modulus is capped at MAX_MODULUS, so
+(p-1)^2 fits in int64, and the trailing block is reduced mod p every
 (2^63 - 1) // (p-1)^2 pivots, so no intermediate value ever overflows.
 
 On the capped ring every basis element (f_1 ^ ... ^ f_p) (x) m has a
@@ -44,10 +44,10 @@ is written once, in `_ProductTable.wedge_weights`: each column gets the block
 weight |S_{n+1} . alpha| = (n+1)! / prod(mult!) when alpha is sorted
 (nondecreasing) and 0 otherwise. `KoszulComplex._rank` lists these weights
 once per differential (`_weights`) and passes them to `SparseMatrix.rank`,
-which splits only the columns of nonzero weight and adds up weight times rank
-over those blocks; the matrix itself carries no weight. ACM rings have no
-such grading (the Fermat relation is not multigraded), so their ranks take
-no weights and every block counts once.
+which seeds the split with the columns of nonzero weight and adds up weight
+times rank over those blocks; the matrix itself carries no weight. ACM rings
+have no such grading (the Fermat relation is not multigraded), so their ranks
+take no weights and every block counts once.
 
 Where `kpq_dim` first visits a cell whose two differentials are both
 nontrivial, it checks that they compose to zero and ranks those same
@@ -276,97 +276,95 @@ class SparseMatrix:
 
     # -- block decomposition ------------------------------------------------
 
-    def _component_split(self, columns: Iterable[int] | None = None
+    def _component_split(self, seeds: Iterable[int] | None = None
                          ) -> list[tuple[list[int], list[int]]]:
-        """Connected components of the bipartite row/column graph.
+        """The components of the bipartite row/column graph that hold a
+        nonempty column of `seeds` (default: every column), as (columns, rows).
 
         Rank is additive across components, and the differential's internal
-        multigrading shows up here automatically: two columns land in one
-        component only if a chain of shared rows links them. Only nonempty
-        columns are visited, and only those in `columns` when it is given.
+        multigrading shows up here automatically. A row -> columns index is
+        built once; each component is walked whole from its first unvisited
+        seed and listed once, its columns and rows ascending.
         """
         ptr, idx = self.ptr, self.idx
-        parent = list(range(self.cols + self.rows))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        columns = [c for c in (range(self.cols) if columns is None else columns)
-                   if ptr[c] < ptr[c + 1]]
-        for c in columns:
+        row_cols: list[list[int]] = [[] for _ in range(self.rows)]
+        for c in range(self.cols):
             for r in idx[ptr[c]:ptr[c + 1]]:
-                ra, rb = find(c), find(self.cols + r)
-                if ra != rb:
-                    parent[rb] = ra
-        groups: dict[int, tuple[list[int], set[int]]] = {}
-        for c in columns:
-            cols_g, rows_g = groups.setdefault(find(c), ([], set()))
-            cols_g.append(c)
-            rows_g.update(idx[ptr[c]:ptr[c + 1]])
-        return [(cols_g, sorted(rows_g)) for cols_g, rows_g in groups.values()]
+                row_cols[r].append(c)
+        col_seen, row_seen = [False] * self.cols, [False] * self.rows
+        blocks = []
+        for seed in range(self.cols) if seeds is None else seeds:
+            if col_seen[seed] or ptr[seed] == ptr[seed + 1]:
+                continue
+            col_seen[seed] = True
+            cols_g, rows_g = [seed], []
+            for c in cols_g:  # cols_g grows while the walk reaches new columns
+                for r in idx[ptr[c]:ptr[c + 1]]:
+                    if not row_seen[r]:
+                        row_seen[r] = True
+                        rows_g.append(r)
+                        for c2 in row_cols[r]:
+                            if not col_seen[c2]:
+                                col_seen[c2] = True
+                                cols_g.append(c2)
+            blocks.append((sorted(cols_g), sorted(rows_g)))
+        return blocks
 
     def rank(self, weights: Sequence[int] | None = None) -> int:
         """Rank over GF(modulus), or weight times rank summed over the blocks.
 
         `weights[c]`, constant on each block, is how many times the rank of
-        column c's block counts; only the columns of nonzero weight are split
-        and eliminated. Without weights every block counts once.
+        column c's block counts; the columns of nonzero weight seed the split,
+        so only their blocks are eliminated. Without weights each counts once.
         """
-        if weights is None:
-            return sum(self._block_rank(cols_g, rows_g)
-                       for cols_g, rows_g in self._component_split())
-        columns = itertools.compress(range(self.cols), weights)
-        return sum(weights[cols_g[0]] * self._block_rank(cols_g, rows_g)
-                   for cols_g, rows_g in self._component_split(columns))
+        weights = [1] * self.cols if weights is None else weights
+        return sum(weights[cols_g[0]] * self._block_rank(cols_g, rows_g) for cols_g, rows_g
+                   in self._component_split(itertools.compress(range(self.cols), weights)))
 
-    def _block_rank(self, cols_g: list[int], rows_g: list[int],
-                    rhs: dict[int, int] | None = None) -> int:
+    def _block_rank(self, cols_g: list[int], rows_g: list[int]) -> int:
         ptr, idx, val = self.ptr, self.idx, self.val
         rpos = {r: i for i, r in enumerate(rows_g)}
-        width = len(cols_g) + (1 if rhs is not None else 0)
-        block = np.zeros((len(rows_g), width), dtype=np.int64)
+        block = np.zeros((len(rows_g), len(cols_g)), dtype=np.int64)
         for j, c in enumerate(cols_g):
             for i in range(ptr[c], ptr[c + 1]):
                 block[rpos[idx[i]], j] = val[i]
-        if rhs is not None:
-            for r, v in rhs.items():
-                block[rpos[r], len(cols_g)] = v % self.modulus
         return _dense_rank_mod(block, self.modulus)
 
     def solve_consistent(self, rhs: Mapping[int, int]) -> bool:
-        """True when self @ x = rhs has a solution over GF(modulus)."""
-        p = self.modulus
-        reduced = {r: v % p for r, v in rhs.items() if v % p}
-        if not reduced:
+        """True when self @ x = rhs has a solution over GF(modulus).
+
+        Only the block that the reduced rhs seeds as one more column is
+        decided, one block of self at a time, with and without its share of rhs.
+        """
+        if any(not 0 <= r < self.rows for r in rhs):
+            raise ParameterError(f"row index outside a {self.rows}x{self.cols} matrix")
+        p, n = self.modulus, self.cols
+        b = {r: v % p for r, v in sorted(rhs.items()) if v % p}
+        if not b:
             return True
-        comps = self._component_split()
-        row_to_comp: dict[int, int] = {}
-        for idx, (_, rows_g) in enumerate(comps):
-            for r in rows_g:
-                row_to_comp[r] = idx
-        by_comp: dict[int, dict[int, int]] = {}
-        for r, v in reduced.items():
-            if r not in row_to_comp:
-                return False  # nonzero target in a row no column touches
-            by_comp.setdefault(row_to_comp[r], {})[r] = v
-        for idx, part in by_comp.items():
-            cols_g, rows_g = comps[idx]
-            plain = self._block_rank(cols_g, rows_g)
-            augmented = self._block_rank(cols_g, rows_g, rhs=part)
-            if augmented > plain:
-                return False
-        return True
+        [(walked, _)] = self._with_columns([b])._component_split([n])
+        blocks = self._component_split(walked[:-1]) if len(walked) > 1 else []
+        shares = [{r: b[r] for r in rows_g if r in b} for _, rows_g in blocks]
+        if sum(map(len, shares)) < len(b):
+            return False  # rhs is nonzero in a row that no column touches
+        parts = self._with_columns(shares)
+        return all(parts._block_rank(cols_g + [n + i], rows_g) == self._block_rank(cols_g, rows_g)
+                   for i, (cols_g, rows_g) in enumerate(blocks))
+
+    def _with_columns(self, columns: list[dict[int, int]]) -> "SparseMatrix":
+        """Self with `columns` appended, each a {row: residue} in ascending rows."""
+        ends = list(itertools.accumulate(map(len, columns), initial=self.nnz))
+        return SparseMatrix(self.rows, self.cols + len(columns), self.modulus, self.ptr + ends[1:],
+                            self.idx + [r for col in columns for r in col],
+                            self.val + [v for col in columns for v in col.values()])
 
     def apply(self, vec: Mapping[int, int]) -> dict[int, int]:
         """Matrix-vector product; vec is indexed by columns."""
+        if any(not 0 <= c < self.cols for c in vec):
+            raise ParameterError(f"column index outside a {self.rows}x{self.cols} matrix")
         p = self.modulus
         out: dict[int, int] = {}
         for c, v in vec.items():
-            if v % p == 0:
-                continue
             a, b = self.ptr[c], self.ptr[c + 1]
             for r, w in zip(self.idx[a:b], self.val[a:b]):
                 out[r] = (out.get(r, 0) + v * w) % p

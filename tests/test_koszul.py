@@ -76,6 +76,50 @@ def alpha(cx, p, k, c):
     return tuple(map(sum, zip(*exps)))
 
 
+def block_diagonal(data, p):
+    """(rows, cols, dense): random integer blocks on the diagonal, rows and
+    columns then shuffled. A block with no rows gives empty columns, one with
+    no columns gives rows that no column touches."""
+    shapes = data.draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                                min_size=1, max_size=4))
+    rows, cols = sum(h for h, _ in shapes), sum(w for _, w in shapes)
+    dense = [[0] * cols for _ in range(rows)]
+    r0 = c0 = 0
+    for h, w in shapes:
+        entries = st.one_of(st.just(0), st.integers(-4, 4), st.integers(1, p - 1))
+        block = data.draw(st.lists(st.lists(entries, min_size=w, max_size=w),
+                                   min_size=h, max_size=h))
+        for i, row in enumerate(block):
+            dense[r0 + i][c0:c0 + w] = row
+        r0, c0 = r0 + h, c0 + w
+    row_order = data.draw(st.permutations(range(rows)))
+    col_order = data.draw(st.permutations(range(cols)))
+    return rows, cols, [[dense[i][j] for j in col_order] for i in row_order]
+
+
+def sparse_of(rows, cols, dense, p):
+    trips = [(r, c, v) for r, row in enumerate(dense) for c, v in enumerate(row) if v]
+    return SparseMatrix.from_triplets(rows, cols, p, trips)
+
+
+def reference_components(cols, dense, seeds):
+    """Closure over the dense adjacency from each nonempty seed in turn, each
+    component once, as (ascending columns, ascending rows)."""
+    out = []
+    for seed in seeds:
+        if not any(row[seed] for row in dense) or any(seed in c for c, _ in out):
+            continue
+        comp_cols, comp_rows = {seed}, set()
+        while True:
+            rows = {r for r, row in enumerate(dense) if any(row[c] for c in comp_cols)}
+            grown = {c for c in range(cols) if any(dense[r][c] for r in rows)}
+            if (grown, rows) == (comp_cols, comp_rows):
+                break
+            comp_cols, comp_rows = grown, rows
+        out.append((sorted(comp_cols), sorted(comp_rows)))
+    return out
+
+
 def plain_rank(mat):
     """Rank with every block counted once, eliminated block by block outside `rank()`."""
     return sum(mat._block_rank(c, r) for c, r in mat._component_split())
@@ -164,6 +208,18 @@ class TestSparseMatrix:
         assert m.solve_consistent({0: 3, 1: 3})
         assert not m.solve_consistent({0: 1, 1: 2})
 
+    @pytest.mark.parametrize("method, vec", [
+        ("apply", {-3: 1}), ("apply", {2: 1}), ("apply", {-1: 0}),
+        ("solve_consistent", {-1: 1}), ("solve_consistent", {3: 1}),
+        ("solve_consistent", {3: 5}),
+    ], ids=["apply-negative", "apply-past-end", "apply-zero-value",
+            "solve-negative", "solve-past-end", "solve-vanishing-value"])
+    def test_outside_indices_refused(self, method, vec):
+        # a negative index would otherwise wrap around to the last columns or rows
+        m = SparseMatrix.from_triplets(3, 2, 5, [(0, 0, 1), (1, 1, 2)])
+        with pytest.raises(ParameterError, match="outside a 3x2 matrix"):
+            getattr(m, method)(vec)
+
     def test_apply(self):
         m = SparseMatrix.from_triplets(2, 2, 7, [(0, 0, 3), (1, 1, 4)])
         assert m.apply({0: 1, 1: 1}) == {0: 3, 1: 4}
@@ -249,25 +305,36 @@ class TestSparseMatrix:
         m = SparseMatrix.from_triplets(rows, cols, p, trips)
         assert m.rank() == reference_rank(dense, p)
 
-    @given(
-        st.integers(1, 5), st.integers(1, 5),
-        st.sampled_from([5, 7]),
-        st.data(),
-    )
-    @settings(max_examples=80)
-    def test_solve_consistent_matches_reference(self, rows, cols, p, data):
-        dense = data.draw(st.lists(
-            st.lists(st.integers(-4, 4), min_size=cols, max_size=cols),
-            min_size=rows, max_size=rows))
-        rhs = data.draw(st.lists(st.integers(-4, 4), min_size=rows, max_size=rows))
-        trips = [(r, c, v) for r, row in enumerate(dense)
-                 for c, v in enumerate(row) if v]
-        m = SparseMatrix.from_triplets(rows, cols, p, trips)
+    @given(st.sampled_from((7,) + EDGE_PRIMES), st.sampled_from(["image", "perturbed", "random"]),
+           st.data())
+    @settings(max_examples=160, deadline=None)
+    def test_solve_consistent_matches_reference(self, p, kind, data):
+        # an image A @ x meets every block that x reaches; a perturbed one may
+        # also land in a row that no column touches
+        rows, cols, dense = block_diagonal(data, p)
+        residues = st.one_of(st.integers(-4, 4), st.integers(0, p - 1))
+        if kind == "random":
+            rhs = data.draw(st.lists(residues, min_size=rows, max_size=rows))
+        else:
+            x = data.draw(st.lists(residues, min_size=cols, max_size=cols))
+            rhs = [sum(a * b for a, b in zip(row, x)) % p for row in dense]
+            if kind == "perturbed" and rows:
+                rhs[data.draw(st.integers(0, rows - 1))] += data.draw(st.integers(1, p - 1))
+        m = sparse_of(rows, cols, dense, p)
         plain = reference_rank(dense, p)
         augmented = reference_rank([row + [b] for row, b in zip(dense, rhs)], p)
-        expected = augmented == plain
         got = m.solve_consistent({i: b for i, b in enumerate(rhs) if b % p})
-        assert got == expected
+        assert got == (augmented == plain)
+
+    @given(st.sampled_from([5, DEFAULT_PRIME]), st.booleans(), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_component_split_matches_reference(self, p, every_column, data):
+        # p > 4, so every nonzero entry of `dense` is nonzero mod p
+        rows, cols, dense = block_diagonal(data, p)
+        order = data.draw(st.permutations(range(cols)))
+        seeds = None if every_column else order[:data.draw(st.integers(0, cols))]
+        expected = reference_components(cols, dense, range(cols) if every_column else seeds)
+        assert sparse_of(rows, cols, dense, p)._component_split(seeds) == expected
 
 
 class TestDenseRank:
@@ -509,8 +576,8 @@ class TestArrayPath:
         splits = []
         real = SparseMatrix._component_split
 
-        def spy(matrix, columns=None):
-            out = real(matrix, columns)
+        def spy(matrix, seeds=None):
+            out = real(matrix, seeds)
             splits.append(out)
             return out
 
@@ -716,6 +783,34 @@ class TestElements:
         assert img
         assert self.cx.is_cycle(img, 2, 1)
         assert self.cx.is_boundary(img, 2, 1)
+
+    def test_boundary_across_two_blocks(self, monkeypatch):
+        # K_{10,2} of TruncatedRing(3, 4): d_11 has blocks of several columns
+        # and deficient rank; the preimage spans two of them, of two multidegrees
+        cx = KoszulComplex(TruncatedRing(3, 4))
+        mat = cx.differential_matrix(11, 4)
+        blocks = [(cols, rows) for cols, rows in mat._component_split()
+                  if 1 < mat._block_rank(cols, rows) < len(rows)][:2]
+        assert len({alpha(cx, 11, 4, cols[0]) for cols, _ in blocks}) == 2
+        img = mat.apply({c: 1 + i for i, c in enumerate(blocks[0][0] + blocks[1][0])})
+        assert all(set(img) & set(rows) for _, rows in blocks)
+        shapes = []
+        real = koszul._dense_rank_mod
+        monkeypatch.setattr(koszul, "_dense_rank_mod",
+                            lambda block, p: shapes.append(block.shape) or real(block, p))
+        assert cx.is_boundary(img, 10, 2)
+        # each block is eliminated apart, with and without its share of img
+        assert sorted(shapes) == sorted((len(rows), len(cols) + extra)
+                                        for cols, rows in blocks for extra in (0, 1))
+        monkeypatch.undo()
+        img[min(img)] += 1
+        p = cx.field.modulus
+        dense = [[0] * mat.cols for _ in range(mat.rows)]
+        for r, c, v in mat.triplets():
+            dense[r][c] = v
+        augmented = [row + [img.get(r, 0)] for r, row in enumerate(dense)]
+        assert reference_rank(augmented, p) > reference_rank(dense, p)
+        assert not cx.is_boundary(img, 10, 2)
 
     def test_non_cycle_detected(self):
         # a bare generator tensor 1 maps to the generator itself
