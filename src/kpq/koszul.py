@@ -30,10 +30,11 @@ matrix is the whole differential.
 All linear algebra is exact over GF(p). Matrices are sparse and decompose
 into blocks, the connected components of their row/column graph (the
 complex's internal multigrading), walked from seed columns. Each block is
-eliminated densely in int64 with delayed reduction; `is_boundary` eliminates
-only the blocks its vector meets. The modulus is capped at MAX_MODULUS, so
-(p-1)^2 fits in int64, and the trailing block is reduced mod p every
-(2^63 - 1) // (p-1)^2 pivots, so no intermediate value ever overflows.
+eliminated densely in int64 with delayed reduction. `is_boundary` eliminates
+only the blocks its vector's rows meet, and splits nothing when one of those
+rows is empty, as a Veronese witness's row is. The modulus is capped at
+MAX_MODULUS, so (p-1)^2 fits in int64, and the trailing block is reduced mod
+p every (2^63 - 1) // (p-1)^2 pivots, so no intermediate value ever overflows.
 
 On the capped ring every basis element (f_1 ^ ... ^ f_p) (x) m has a
 multidegree alpha = f_1 + ... + f_p + m in Z^{n+1}, and the differential
@@ -113,6 +114,14 @@ def _is_prime(m: int) -> bool:
     return True
 
 
+def _as_int(value, what: str) -> int:
+    """`value` as an int; floats, strings and other non-integers are refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True, slots=True)
 class PrimeField:
     """GF(modulus) for an odd prime modulus of at most MAX_MODULUS."""
@@ -120,6 +129,7 @@ class PrimeField:
     modulus: int = DEFAULT_PRIME
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "modulus", _as_int(self.modulus, "field modulus"))
         if self.modulus == 2 or not _is_prime(self.modulus):
             raise ParameterError(f"field modulus must be an odd prime, got {self.modulus}")
         if self.modulus > MAX_MODULUS:
@@ -127,14 +137,6 @@ class PrimeField:
                 f"field modulus {self.modulus} exceeds {MAX_MODULUS}, the largest "
                 f"for which products of two residues fit in int64"
             )
-
-
-def _as_field(field: Union["PrimeField", int, None]) -> PrimeField:
-    if field is None:
-        return PrimeField()
-    if isinstance(field, PrimeField):
-        return field
-    return PrimeField(int(field))
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +250,12 @@ class SparseMatrix:
                       triplets: Iterable[tuple[int, int, int]]) -> "SparseMatrix":
         """The matrix of summed triplets: repeated (row, col) add up, zeros drop."""
         field = PrimeField(modulus)
+        rows, cols = _as_int(rows, "matrix dimension"), _as_int(cols, "matrix dimension")
         if rows < 0 or cols < 0:
             raise ParameterError(f"matrix dimensions must be >= 0, got {rows}x{cols}")
         acc: list[dict[int, int]] = [dict() for _ in range(cols)]
         for r, c, v in triplets:
+            r, c, v = (_as_int(x, "matrix entry") for x in (r, c, v))
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ParameterError(f"entry ({r}, {c}) outside a {rows}x{cols} matrix")
             acc[c][r] = (acc[c].get(r, 0) + v) % field.modulus
@@ -262,7 +266,7 @@ class SparseMatrix:
                     idx.append(r)
                     val.append(col[r])
             ptr.append(len(idx))
-        return cls(rows, cols, modulus, ptr, idx, val)
+        return cls(rows, cols, field.modulus, ptr, idx, val)
 
     @property
     def nnz(self) -> int:
@@ -333,20 +337,19 @@ class SparseMatrix:
     def solve_consistent(self, rhs: Mapping[int, int]) -> bool:
         """True when self @ x = rhs has a solution over GF(modulus).
 
-        Only the block that the reduced rhs seeds as one more column is
-        decided, one block of self at a time, with and without its share of rhs.
+        False at once when the reduced rhs is nonzero in a row that no column
+        touches. Otherwise the columns with an entry in a row of rhs seed the
+        split, and each block is ranked with and without its share of rhs.
         """
         if any(not 0 <= r < self.rows for r in rhs):
             raise ParameterError(f"row index outside a {self.rows}x{self.cols} matrix")
-        p, n = self.modulus, self.cols
+        p, n, ptr, idx = self.modulus, self.cols, self.ptr, self.idx
         b = {r: v % p for r, v in sorted(rhs.items()) if v % p}
-        if not b:
-            return True
-        [(walked, _)] = self._with_columns([b])._component_split([n])
-        blocks = self._component_split(walked[:-1]) if len(walked) > 1 else []
+        if not b.keys() <= set(idx):
+            return False
+        blocks = self._component_split(
+            c for c in range(n) if not b.keys().isdisjoint(idx[ptr[c]:ptr[c + 1]]))
         shares = [{r: b[r] for r in rows_g if r in b} for _, rows_g in blocks]
-        if sum(map(len, shares)) < len(b):
-            return False  # rhs is nonzero in a row that no column touches
         parts = self._with_columns(shares)
         return all(parts._block_rank(cols_g + [n + i], rows_g) == self._block_rank(cols_g, rows_g)
                    for i, (cols_g, rows_g) in enumerate(blocks))
@@ -378,6 +381,8 @@ class SparseMatrix:
         """
         if other.rows != self.cols:
             raise ParameterError("shape mismatch in composition")
+        if other.modulus != self.modulus:
+            raise ParameterError(f"moduli {self.modulus} and {other.modulus} differ")
         p = self.modulus
         ptr, idx, val, mid, mid_val = (np.array(a, dtype=np.int64) for a in (
             self.ptr, self.idx, self.val, other.idx, other.val))
@@ -648,7 +653,8 @@ class KoszulComplex:
         self.algebra = _algebra_for(ring_or_spec, d)
         self.d = self.algebra.d
         self.b = b
-        self.field = _as_field(field)
+        self.field = (field if isinstance(field, PrimeField)
+                      else PrimeField(DEFAULT_PRIME if field is None else field))
         self.entry_budget = entry_budget
         gens = self.algebra.degree_basis(self.d)
         if generator_order is not None:
@@ -916,7 +922,8 @@ class KoszulComplex:
                     f"witness lives at (p={wp}, q={wq}), not (p={p}, q={q})"
                 )
             return vec
-        vec = {int(i): int(v) for i, v in dict(element).items()}
+        vec = {_as_int(i, "element index"): _as_int(v, "element coefficient")
+               for i, v in dict(element).items()}
         mid = self.middle_dim(p, q)
         if any(not 0 <= i < mid for i in vec):
             raise ParameterError(f"element index outside the {mid}-dimensional middle basis")

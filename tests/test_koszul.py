@@ -30,8 +30,10 @@ from kpq.witness import (
     build_witness,
     divisor_set,
     leftmost_monomial,
+    verify_certificate,
     zero_set,
 )
+from kpq.ranges import VeroneseParams, admissible_q, veronese_range_report
 
 
 def reference_rank(dense, p):
@@ -145,6 +147,28 @@ class TestPrimeField:
             with pytest.raises(ParameterError, match="exceeds"):
                 PrimeField(too_big)
 
+    def test_numpy_integers_accepted(self):
+        field = PrimeField(np.int64(7))
+        assert field.modulus == 7 and type(field.modulus) is int
+        cx = KoszulComplex(TruncatedRing(2, 3), field=np.int64(7))
+        assert cx.is_cycle({np.int64(0): np.int64(1)}, 1, 1) == cx.is_cycle({0: 1}, 1, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: PrimeField(7.0),
+    lambda: KoszulComplex(TruncatedRing(2, 3), field=7.5),
+    lambda: KoszulComplex(TruncatedRing(2, 3)).is_cycle({0.9: 1}, 1, 1),
+    lambda: KoszulComplex(TruncatedRing(2, 3)).is_cycle({"3": 1}, 1, 1),
+    lambda: KoszulComplex(TruncatedRing(2, 3)).is_cycle({0: 1.5}, 1, 1),
+    lambda: SparseMatrix.from_triplets(2, 2, 7, [(0.5, 0, 1)]),
+    lambda: SparseMatrix.from_triplets(2.0, 2, 7, []),
+], ids=["float-modulus", "float-field", "float-index", "str-index", "float-value",
+        "float-triplet-row", "float-dimension"])
+def test_non_integer_inputs_refused(call):
+    # int() would truncate or parse these into a different, valid input
+    with pytest.raises(ParameterError, match="must be an integer"):
+        call()
+
 
 class TestWedgeBasis:
     def test_colex_order(self):
@@ -234,6 +258,12 @@ class TestSparseMatrix:
         assert not a.compose_is_zero(c)
         with pytest.raises(ParameterError):
             a.compose_is_zero(a)
+
+    def test_compose_refuses_mixed_moduli(self):
+        a = SparseMatrix.from_triplets(1, 2, 7, [(0, 0, 1), (0, 1, 6)])
+        b = SparseMatrix.from_triplets(2, 1, 5, [(0, 0, 1), (1, 0, 1)])
+        with pytest.raises(ParameterError, match="moduli 7 and 5"):
+            a.compose_is_zero(b)
 
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
            st.sampled_from([3, 5, DEFAULT_PRIME, LARGEST_PRIME]), st.booleans(), st.data())
@@ -811,6 +841,46 @@ class TestElements:
         augmented = [row + [img.get(r, 0)] for r, row in enumerate(dense)]
         assert reference_rank(augmented, p) > reference_rank(dense, p)
         assert not cx.is_boundary(img, 10, 2)
+
+    def test_witness_fails_before_any_split(self, monkeypatch):
+        # a column hitting the witness row would need a degree-d divisor of f
+        # outside the wedge, and the wedge holds them all: the row is empty
+        params = VeroneseWitnessParams(n=2, d=4, b=0, q=1)
+        ring = TruncatedRing(3, 4)
+        f = leftmost_monomial(2, 4, 1, 0)
+        p = veronese_range_report(VeroneseParams(2, 4, 0, 1)).pq.lo
+        w = build_witness(f, p, zero_set(f, ring), divisor_set(f, ring), params)
+        cx = KoszulComplex(ring)
+        splits = []
+        real = SparseMatrix._component_split
+        monkeypatch.setattr(SparseMatrix, "_component_split",
+                            lambda self, seeds=None: splits.append(1) or real(self, seeds))
+        assert cx.is_cycle(w, p, 1)
+        assert not cx.is_boundary(w, p, 1)
+        assert splits == []
+
+    @pytest.mark.parametrize("n, d", [(1, d) for d in range(2, 6)] + [(2, 2), (2, 3)])
+    def test_witness_row_is_empty(self, n, d):
+        ring = TruncatedRing(n + 1, d)
+        checked = 0
+        for b in range(d):
+            cx = KoszulComplex(ring, b=b)
+            for q in range(n + 2):
+                params = VeroneseParams(n, d, b, q)
+                if not admissible_q(params):
+                    continue
+                report = veronese_range_report(params)
+                if report.counts is None:
+                    continue
+                f = leftmost_monomial(n, d, q, b)
+                zset, dset = zero_set(f, ring), divisor_set(f, ring)
+                for p in report.pq:
+                    w = build_witness(f, p, zset, dset, VeroneseWitnessParams(n, d, b, q))
+                    assert verify_certificate(w).verdict
+                    [row] = cx.element_from_witness(w)[0]
+                    assert row not in cx.differential_matrix(p + 1, cx.coeff_degree(q) - d).idx
+                    checked += 1
+        assert checked > 0
 
     def test_non_cycle_detected(self):
         # a bare generator tensor 1 maps to the generator itself
