@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .combinatorics import (
     Monomial, TruncatedRing, _monomials, binom, mixed_cap_dim, truncated_dim,
@@ -69,6 +68,8 @@ class ACMSpec:
         for i, j in table:
             if not (0 <= i < size and 0 <= j < size):
                 raise ACMSpecError(f"table entry ({i}, {j}) is outside the Lambda basis")
+        if len({frozenset(key) for key in table}) != len(self.table):
+            raise ACMSpecError("rewrite table stores a Lambda product more than once")
         for i in range(size):
             for j in range(i, size):
                 if (i, j) not in table and (j, i) not in table:
@@ -104,17 +105,8 @@ class ACMSpec:
         return self.lambda_degrees.index(0)
 
     def product_terms(self, i: int, j: int) -> tuple[Term, ...]:
-        table = _table_dict(self)
-        if (i, j) in table:
-            return table[(i, j)]
-        if (j, i) in table:
-            return table[(j, i)]
-        raise ACMSpecError(f"rewrite table is missing the Lambda product ({i}, {j})")
-
-
-@lru_cache(maxsize=None)
-def _table_dict(spec: ACMSpec) -> dict[tuple[int, int], tuple[Term, ...]]:
-    return dict(spec.table)
+        # __post_init__ has checked that exactly one of (i, j) and (j, i) is stored
+        return next(terms for key, terms in self.table if key in ((i, j), (j, i)))
 
 
 def _reduce_power_tower(e: int, rel_coeffs: list[dict[tuple[int, ...], int]], n: int,

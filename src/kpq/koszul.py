@@ -322,6 +322,8 @@ class SparseMatrix:
         so only their blocks are eliminated. Without weights each counts once.
         """
         weights = [1] * self.cols if weights is None else weights
+        if len(weights) != self.cols:
+            raise ParameterError(f"{len(weights)} weights for a matrix of {self.cols} columns")
         return sum(weights[cols_g[0]] * self._block_rank(cols_g, rows_g) for cols_g, rows_g
                    in self._component_split(itertools.compress(range(self.cols), weights)))
 
@@ -341,6 +343,7 @@ class SparseMatrix:
         touches. Otherwise the columns with an entry in a row of rhs seed the
         split, and each block is ranked with and without its share of rhs.
         """
+        rhs = {_as_int(r, "row index"): _as_int(v, "rhs entry") for r, v in rhs.items()}
         if any(not 0 <= r < self.rows for r in rhs):
             raise ParameterError(f"row index outside a {self.rows}x{self.cols} matrix")
         p, n, ptr, idx = self.modulus, self.cols, self.ptr, self.idx
@@ -363,6 +366,7 @@ class SparseMatrix:
 
     def apply(self, vec: Mapping[int, int]) -> dict[int, int]:
         """Matrix-vector product; vec is indexed by columns."""
+        vec = {_as_int(c, "column index"): _as_int(v, "vector entry") for c, v in vec.items()}
         if any(not 0 <= c < self.cols for c in vec):
             raise ParameterError(f"column index outside a {self.rows}x{self.cols} matrix")
         p = self.modulus
@@ -426,15 +430,14 @@ def _dense_rank_mod(block: np.ndarray, p: int) -> int:
     """Exact rank of an int64 block mod p, in place, for odd p <= MAX_MODULUS.
 
     The block is first reduced to residues in [0, p-1]. After that only the
-    pivot row is fully reduced: each update subtracts a product of two
+    pivot row is fully reduced, into the copy the update reads: later pivots
+    read only the rows below it. Each update subtracts a product of two
     residues, at most (p-1)^2, so after t updates every trailing entry lies
     in [-t * (p-1)^2, p-1]. The trailing block is reduced mod p again every
     (2^63 - 1) // (p-1)^2 pivots, which keeps every value inside int64. For
     32003 and 1000003 that period is above 9 * 10^6 pivots, longer than any
     block, so no extra reduction runs.
     """
-    if block.size == 0:
-        return 0
     a = block if block.shape[0] <= block.shape[1] else block.T.copy()
     a %= p
     period = _INT64_MAX // (p - 1) ** 2
@@ -452,7 +455,6 @@ def _dense_rank_mod(block: np.ndarray, p: int) -> int:
             a[[rank, piv]] = a[[piv, rank]]
         row = a[rank, c:] % p
         row = (row * pow(int(row[0]), -1, p)) % p
-        a[rank, c:] = row
         if rank + 1 < m:
             f = a[rank + 1:, c] % p
             a[rank + 1:, c:] -= f[:, None] * row
@@ -483,12 +485,10 @@ class TruncatedAlgebra:
         return ("truncated", self.ring.num_vars, self.ring.cap)
 
     def degree_basis(self, k: int) -> list:
-        if k < 0:
-            return []
         return enumerate_monomials(self.ring, k)
 
     def dim(self, k: int) -> int:
-        return truncated_dim(self.ring, k) if k >= 0 else 0
+        return truncated_dim(self.ring, k)
 
     def multiply(self, a: Monomial, b: Monomial) -> list[tuple[int, Monomial]]:
         out = tuple(x + y for x, y in zip(a.exponents, b.exponents))
@@ -510,22 +510,15 @@ class ReducedACMAlgebra:
         self.d = d
         self.ring = TruncatedRing(spec.n + 1, d)
         self.max_terms = max(len(terms) for _, terms in spec.table)
-        self._bases: dict[int, list] = {}
 
     @property
     def key(self):
         return ("acm", self.spec.name, self.spec.n, self.spec.lambda_degrees, self.d)
 
     def degree_basis(self, k: int) -> list:
-        if k < 0:
-            return []
-        if k not in self._bases:
-            self._bases[k] = _acm.basis(self.spec, self.d, k)
-        return self._bases[k]
+        return _acm.basis(self.spec, self.d, k)
 
     def dim(self, k: int) -> int:
-        if k < 0:
-            return 0
         return sum(truncated_dim(self.ring, k - lam) for lam in self.spec.lambda_degrees)
 
     def multiply(self, a: _acm.ACMMonomial, b: _acm.ACMMonomial) -> list[tuple[int, _acm.ACMMonomial]]:
@@ -553,16 +546,11 @@ class _ProductTable:
         for g in gens:
             row = []
             for m in src:
-                terms = algebra.multiply(g, m)
-                if len(terms) > 1:
-                    merged: dict[int, int] = {}
-                    for cv, label in terms:
-                        t = dst_index[label]
-                        merged[t] = merged.get(t, 0) + cv
-                    terms = [(v, t) for t, v in sorted(merged.items())]
-                else:
-                    terms = [(cv, dst_index[label]) for cv, label in terms]
-                row.append([(v % mod, t) for v, t in terms if v % mod])
+                merged: dict[int, int] = {}
+                for cv, label in algebra.multiply(g, m):
+                    t = dst_index[label]
+                    merged[t] = merged.get(t, 0) + cv
+                row.append([(v % mod, t) for t, v in sorted(merged.items()) if v % mod])
             self.terms.append(row)
         if algebra.multigraded:
             self.gen_exps = [g.exponents for g in gens]

@@ -106,6 +106,17 @@ class TestSpecValidation:
             ACMSpec(name="bad", n=1, lambda_degrees=(0, 1),
                     table=(((0, 0), ((1, (0, 0), 0),)),))
 
+    def test_product_stored_twice(self):
+        # product_terms would otherwise depend on which copy it meets first
+        unit, t = ((1, (0, 0), 0),), ((1, (0, 0), 1),)
+        squares = ((-1, (2, 0), 0),)
+        with pytest.raises(ACMSpecError, match="more than once"):
+            ACMSpec(name="bad", n=1, lambda_degrees=(0, 1),
+                    table=(((0, 0), unit), ((0, 1), t), ((1, 0), t), ((1, 1), squares)))
+        with pytest.raises(ACMSpecError, match="more than once"):
+            ACMSpec(name="bad", n=1, lambda_degrees=(0,),
+                    table=(((0, 0), unit), ((0, 0), unit)))
+
     def test_zero_coefficient(self):
         with pytest.raises(ACMSpecError, match="zero coefficient"):
             ACMSpec(name="bad", n=1, lambda_degrees=(0,),
@@ -271,6 +282,15 @@ class TestJsonInterchange:
             raw = fh.read()
         assert raw.endswith("\n")
         assert json.loads(raw)["schema_version"] == SCHEMA_VERSION
+
+    def test_table_stored_in_either_order(self):
+        doc = spec_to_json(quadric_surface())
+        for entry in doc["table"]:
+            if (entry["i"], entry["j"]) == (0, 1):
+                entry["i"], entry["j"] = 1, 0
+        spec = spec_from_json(doc)
+        assert ((1, 0), ((1, (0, 0, 0), 1),)) in spec.table
+        assert spec.product_terms(0, 1) == spec.product_terms(1, 0) == ((1, (0, 0, 0), 1),)
 
     def test_relation_form_loads_through_builder(self):
         doc = {

@@ -162,8 +162,13 @@ class TestPrimeField:
     lambda: KoszulComplex(TruncatedRing(2, 3)).is_cycle({0: 1.5}, 1, 1),
     lambda: SparseMatrix.from_triplets(2, 2, 7, [(0.5, 0, 1)]),
     lambda: SparseMatrix.from_triplets(2.0, 2, 7, []),
+    lambda: SparseMatrix.from_triplets(3, 2, 5, [(0, 0, 1)]).apply({0.0: 1}),
+    lambda: SparseMatrix.from_triplets(3, 2, 5, [(0, 0, 1)]).apply({0: 1.5}),
+    lambda: SparseMatrix.from_triplets(3, 2, 5, [(0, 0, 1)]).solve_consistent({0.5: 1}),
+    lambda: SparseMatrix.from_triplets(3, 2, 5, [(0, 0, 1)]).solve_consistent({0: 1.5}),
 ], ids=["float-modulus", "float-field", "float-index", "str-index", "float-value",
-        "float-triplet-row", "float-dimension"])
+        "float-triplet-row", "float-dimension", "apply-float-index", "apply-float-value",
+        "solve-float-index", "solve-float-value"])
 def test_non_integer_inputs_refused(call):
     # int() would truncate or parse these into a different, valid input
     with pytest.raises(ParameterError, match="must be an integer"):
@@ -211,6 +216,14 @@ class TestSparseMatrix:
                                                     (1, 0, 2), (1, 1, 4)]).rank() == 1
         assert SparseMatrix.from_triplets(2, 2, 5, [(0, 0, 1), (1, 1, 1)]).rank() == 2
         assert SparseMatrix.from_triplets(3, 4, 5, []).rank() == 0
+
+    def test_rank_refuses_weights_of_the_wrong_length(self):
+        # compress() would drop the columns past a short list without a word
+        m = SparseMatrix.from_triplets(3, 2, 5, [(0, 0, 1), (1, 1, 1)])
+        assert m.rank() == m.rank([1, 1]) == 2
+        for weights in ([1], [1, 1, 1]):
+            with pytest.raises(ParameterError, match="weights for a matrix of 2 columns"):
+                m.rank(weights)
 
     def test_rank_depends_on_characteristic(self):
         trips = [(0, 0, 2), (0, 1, 1), (1, 0, 1), (1, 1, 3)]  # det = 5
@@ -368,6 +381,10 @@ class TestSparseMatrix:
 
 
 class TestDenseRank:
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_block(self, shape):
+        assert _dense_rank_mod(np.zeros(shape, dtype=np.int64), 5) == 0
+
     @pytest.mark.parametrize("p", [1000000007, LARGEST_PRIME])
     def test_low_rank_product_near_the_cap(self, p):
         # 30x20 times 20x40 has rank 20; unreduced int64 growth used to report 30
@@ -572,6 +589,7 @@ class TestArrayPath:
         rings = [(TruncatedRing(n + 1, d), None) for n in (1, 2, 3) for d in (2, 3, 4)]
         for ring, d in rings + [(spec, d) for spec, d in ACM_RINGS]:
             algebra = KoszulComplex(ring, d=d).algebra
+            assert algebra.degree_basis(-1) == [] and algebra.dim(-1) == 0
             for k in range(-1, 4 * algebra.d + 2):
                 assert len(algebra.degree_basis(k)) == algebra.dim(k), (ring, d, k)
 
