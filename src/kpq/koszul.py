@@ -30,7 +30,10 @@ matrix is the whole differential.
 All linear algebra is exact over GF(p). Matrices are sparse and decompose
 into blocks, the connected components of their row/column graph (the
 complex's internal multigrading), walked from seed columns. Each block is
-eliminated densely in int64 with delayed reduction. `is_boundary` eliminates
+eliminated sparse-first by `_sparse_rank_mod`: singleton rows and columns
+are peeled, then Markowitz pivots are taken in Python ints while their fill
+stays small, and the residual, nearly always empty here, goes to
+`_dense_rank_mod`, in int64 with delayed reduction. `is_boundary` eliminates
 only the blocks its vector's rows meet, and splits nothing when one of those
 rows is empty, as a Veronese witness's row is. The modulus is capped at
 MAX_MODULUS, so (p-1)^2 fits in int64, and the trailing block is reduced mod
@@ -57,10 +60,12 @@ matrices.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -80,6 +85,9 @@ _ARRAY_PATH_MIN_ENTRIES = 400
 # Largest number of (wedge, coefficient, position, term) cells in one chunk
 # of the array path, so its temporaries stay a few MB whatever the matrix.
 _CHUNK_CELLS = 1 << 13
+
+# Markowitz pivots stop once their fill bound (r-1)(c-1) exceeds this share of the live cells.
+_DENSE_FILL_SHARE = 1 / 8
 
 _INT64_MAX = 2**63 - 1
 # Largest modulus for which (p-1)^2, a product of two residues, fits in int64.
@@ -328,13 +336,12 @@ class SparseMatrix:
                    in self._component_split(itertools.compress(range(self.cols), weights)))
 
     def _block_rank(self, cols_g: list[int], rows_g: list[int]) -> int:
+        """Rank of the block on columns cols_g, whose entries lie in rows_g,
+        by `_sparse_rank_mod` on its columns read from the CSC lists."""
         ptr, idx, val = self.ptr, self.idx, self.val
-        rpos = {r: i for i, r in enumerate(rows_g)}
-        block = np.zeros((len(rows_g), len(cols_g)), dtype=np.int64)
-        for j, c in enumerate(cols_g):
-            for i in range(ptr[c], ptr[c + 1]):
-                block[rpos[idx[i]], j] = val[i]
-        return _dense_rank_mod(block, self.modulus)
+        return _sparse_rank_mod(
+            {c: dict(zip(idx[ptr[c]:ptr[c + 1]], val[ptr[c]:ptr[c + 1]])) for c in cols_g},
+            rows_g, self.modulus)
 
     def solve_consistent(self, rhs: Mapping[int, int]) -> bool:
         """True when self @ x = rhs has a solution over GF(modulus).
@@ -451,9 +458,9 @@ def _dense_rank_mod(block: np.ndarray, p: int) -> int:
         if nz.size == 0:
             continue
         piv = rank + int(nz[0])
+        row = a[piv, c:] % p
         if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-        row = a[rank, c:] % p
+            a[piv, c:] = a[rank, c:]  # row `rank` is never read again
         row = (row * pow(int(row[0]), -1, p)) % p
         if rank + 1 < m:
             f = a[rank + 1:, c] % p
@@ -462,6 +469,84 @@ def _dense_rank_mod(block: np.ndarray, p: int) -> int:
         if rank % period == 0:
             a[rank:, c + 1:] %= p
     return rank
+
+
+def _sparse_rank_mod(cols: dict[int, dict[int, int]], rows: Iterable[int], p: int) -> int:
+    """Exact rank mod p of the matrix whose column c is cols[c], a {row: residue}
+    with residues in [1, p-1] and rows among `rows`; `cols` is consumed.
+
+    Each step pivots on one entry (r, c): column c is eliminated from the
+    columns meeting row r in Python ints, fill kept, and row r and column c
+    are deleted. A column or row with one live entry goes first (peeling: no
+    other entry changes). Else the Markowitz pivot is on the shortest live
+    column, from a lazy heap of (length, column), at its shortest row, unless
+    its fill bound (r-1)(c-1) is above _DENSE_FILL_SHARE of the live cells:
+    then the rest goes to `_dense_rank_mod`, called once, on 0x0 too.
+    """
+    row_cols: dict[int, set[int]] = {r: set() for r in rows}
+    for c, col in cols.items():
+        for r in col:
+            row_cols[r].add(c)
+    rank = 0
+    col_stack = [c for c, col in cols.items() if len(col) == 1]
+    row_stack = [r for r, cs in row_cols.items() if len(cs) == 1]
+    heap: list[tuple[int, int]] | None = None
+    while True:
+        if col_stack:
+            col = cols.get(c := col_stack.pop())
+            if col is None or len(col) != 1:
+                continue
+            (r,) = col
+        elif row_stack:
+            cs = row_cols.get(r := row_stack.pop())
+            if cs is None or len(cs) != 1:
+                continue
+            (c,) = cs
+            col = cols[c]
+        elif not cols:
+            break
+        else:
+            if heap is None:
+                heap = [(len(col), c) for c, col in cols.items()]
+                heapq.heapify(heap)
+            while len(cols.get(heap[0][1], ())) != heap[0][0]:
+                heapq.heappop(heap)
+            col = cols[c := heap[0][1]]
+            r = min(col, key=lambda i: len(row_cols[i]))
+            fill_bound = (len(col) - 1) * (len(row_cols[r]) - 1)
+            if fill_bound > _DENSE_FILL_SHARE * len(cols) * len(row_cols):
+                break
+        del cols[c]
+        inv = pow(col.pop(r), -1, p)
+        for i in col:
+            row_cols[i].discard(c)
+        for j in row_cols.pop(r) - {c}:
+            other = cols[j]
+            f = other.pop(r) * inv % p
+            for i, w in col.items():
+                x = (other.get(i, 0) - f * w) % p
+                if x:
+                    if i not in other:
+                        row_cols[i].add(j)
+                    other[i] = x
+                elif i in other:
+                    del other[i]
+                    row_cols[i].discard(j)
+            if len(other) == 1:
+                col_stack.append(j)
+            elif not other:
+                del cols[j]
+            elif heap is not None:
+                heapq.heappush(heap, (len(other), j))
+        for i in col:
+            if len(row_cols[i]) == 1:
+                row_stack.append(i)
+            elif not row_cols[i]:
+                del row_cols[i]
+        rank += 1
+    block = np.array([[col.get(r, 0) for col in cols.values()] for r in row_cols],
+                     dtype=np.int64).reshape(len(row_cols), len(cols))
+    return rank + _dense_rank_mod(block, p)
 
 
 # ---------------------------------------------------------------------------
@@ -676,9 +761,9 @@ class KoszulComplex:
         est = dim_mid * max(p, 1) * self.algebra.max_terms
         if dim_mid > self.entry_budget or est > self.entry_budget:
             raise ResourceLimitError(
-                f"differential at wedge index p={p}, coefficient degree {k} needs "
-                f"~{max(dim_mid, est)} entries (dimension {dim_mid}); "
-                f"budget is {self.entry_budget}"
+                f"differential d_p leaving cell (p, q) = ({p}, {Fraction(k - self.b, self.d)}), "
+                f"coefficient degree k={k}, needs ~{max(dim_mid, est)} entries "
+                f"(dimension {dim_mid}); budget is {self.entry_budget}"
             )
 
     # -- assembly -------------------------------------------------------------

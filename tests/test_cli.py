@@ -212,9 +212,9 @@ class TestBettiCommand:
                  7: (9504, 66528), 8: (5940, 47520), 9: (2640, 23760)}
         doc = run_json(capsys, "betti", "--n", "2", "--d", "4", "--budget", "20000")
         expected = [
-            {"error": f"differential at wedge index p={wedge}, coefficient degree 4 needs "
-                      f"~{needs[wedge][1]} entries (dimension {needs[wedge][0]}); "
-                      f"budget is 20000",
+            {"error": f"differential d_p leaving cell (p, q) = ({wedge}, 1), coefficient "
+                      f"degree k=4, needs ~{needs[wedge][1]} entries "
+                      f"(dimension {needs[wedge][0]}); budget is 20000",
              "p": wedge - (q - 1), "q": q}
             for q in (1, 2) for wedge in range(4, 10)
         ]

@@ -1,5 +1,8 @@
+import contextlib
+import itertools
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -122,9 +125,37 @@ def reference_components(cols, dense, seeds):
     return out
 
 
+def dense_block_rank(mat, cols, rows):
+    """One block's rank as it was taken before sparse pivoting: the block
+    filled densely and handed whole to `_dense_rank_mod`."""
+    rpos = {r: i for i, r in enumerate(rows)}
+    block = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    for j, c in enumerate(cols):
+        for i in range(mat.ptr[c], mat.ptr[c + 1]):
+            block[rpos[mat.idx[i]], j] = mat.val[i]
+    return _dense_rank_mod(block, mat.modulus)
+
+
 def plain_rank(mat):
-    """Rank with every block counted once, eliminated block by block outside `rank()`."""
-    return sum(mat._block_rank(c, r) for c, r in mat._component_split())
+    """Rank with every block counted once, each filled densely outside `rank()`."""
+    return sum(dense_block_rank(mat, c, r) for c, r in mat._component_split())
+
+
+@contextlib.contextmanager
+def dense_shapes():
+    """The (rows, cols) of every residual `_dense_rank_mod` is handed meanwhile."""
+    shapes = []
+    real = koszul._dense_rank_mod
+    with mock.patch.object(koszul, "_dense_rank_mod",
+                           lambda block, p: shapes.append(block.shape) or real(block, p)):
+        yield shapes
+
+
+def shuffled(dense, data):
+    """`dense` with its rows and its columns permuted."""
+    rows = data.draw(st.permutations(range(len(dense))))
+    cols = data.draw(st.permutations(range(len(dense[0]))))
+    return [[dense[i][j] for j in cols] for i in rows]
 
 
 class TestPrimeField:
@@ -534,6 +565,108 @@ ACM_RINGS = [
 ]
 
 
+class TestSparseRank:
+    """`_sparse_rank_mod` through `SparseMatrix.rank`: `reference_rank` and the
+    old dense per-block rank are the referees."""
+
+    @given(st.sampled_from(EDGE_PRIMES), st.integers(1, 12), st.integers(1, 12),
+           st.booleans(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_sparse(self, p, rows, cols, product, data):
+        # residues near 0 and p make exact cancellations in the fill likely
+        residue = st.one_of(st.integers(1, 3), st.integers(p - 3, p - 1), st.integers(1, p - 1))
+        size = data.draw(st.integers(0, rows))
+
+        def columns(height, width):
+            # each column a set of distinct rows, so no (row, col) repeats
+            picks = data.draw(st.lists(st.dictionaries(st.integers(0, height - 1), residue,
+                                                       max_size=size), min_size=width,
+                                       max_size=width))
+            return [[picks[c].get(r, 0) for c in range(width)] for r in range(height)]
+
+        dense = columns(rows, cols)
+        if product:  # a product through a thin middle has deficient rank
+            inner = data.draw(st.integers(1, 4))
+            dense = product_mod(columns(rows, inner), columns(inner, cols), p)
+        assert sparse_of(rows, cols, dense, p).rank() == reference_rank(dense, p)
+
+    @given(st.sampled_from(EDGE_PRIMES), st.integers(1, 15), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_triangular_peels_fully(self, p, n, data):
+        residue = st.integers(1, p - 1)
+        dense = [[data.draw(residue) if i == j else
+                  data.draw(st.one_of(st.just(0), residue)) if i < j else 0
+                  for j in range(n)] for i in range(n)]
+        dense = shuffled(dense, data)
+        mat = sparse_of(n, n, dense, p)
+        with dense_shapes() as shapes:
+            assert mat.rank() == reference_rank(dense, p) == n
+        assert shapes == [(0, 0)] * len(mat._component_split())
+
+    @given(st.sampled_from(EDGE_PRIMES), st.integers(3, 14), st.booleans(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_cycle_needs_markowitz_fill(self, p, n, singular, data):
+        # every row and column holds two entries, so nothing peels; each pivot
+        # fills one new entry and leaves a cycle one shorter, until 2x2 is left
+        a = data.draw(st.lists(st.integers(1, p - 1), min_size=n, max_size=n))
+        b = data.draw(st.lists(st.integers(1, p - 1), min_size=n, max_size=n))
+        if singular:
+            b[-1] = (-1) ** n * math.prod(a) * pow(math.prod(b[:-1]), -1, p) % p
+        det = (math.prod(a) + (-1) ** (n - 1) * math.prod(b)) % p
+        assert det == 0 or not singular
+        dense = [[0] * n for _ in range(n)]
+        for i in range(n):
+            dense[i][i], dense[i][(i + 1) % n] = a[i], b[i]
+        dense = shuffled(dense, data)
+        with dense_shapes() as shapes:
+            assert sparse_of(n, n, dense, p).rank() == reference_rank(dense, p) == n - (det == 0)
+        assert shapes == [(2, 2)]
+
+    @given(st.sampled_from(EDGE_PRIMES), st.integers(2, 9), st.integers(2, 9),
+           st.booleans(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_dense_falls_through(self, p, rows, cols, rank_one, data):
+        # no entry is zero: the first pivot's fill bound is a quarter of the cells or more
+        residue = st.integers(1, p - 1)
+        if rank_one:
+            u = data.draw(st.lists(residue, min_size=rows, max_size=rows))
+            v = data.draw(st.lists(residue, min_size=cols, max_size=cols))
+            dense = [[x * y % p for y in v] for x in u]
+        else:
+            dense = data.draw(st.lists(st.lists(residue, min_size=cols, max_size=cols),
+                                       min_size=rows, max_size=rows))
+        with dense_shapes() as shapes:
+            assert sparse_of(rows, cols, dense, p).rank() == reference_rank(dense, p)
+        assert shapes == [(rows, cols)]
+
+    @given(st.sampled_from([(TruncatedRing(2, 3), None), (TruncatedRing(2, 5), None),
+                            (TruncatedRing(3, 3), None), (TruncatedRing(4, 2), None)]
+                           + ACM_RINGS),
+           st.sampled_from([3, 5, DEFAULT_PRIME, SECONDARY_PRIME, LARGEST_PRIME]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_differentials_match_dense_blocks(self, ring, prime, data):
+        ring, d = ring
+        cx = KoszulComplex(ring, d=d, field=prime)
+        nb = cx.num_generators
+        cases = [(p, k) for k in range(0, 4 * cx.d) for p in range(1, nb + 1)
+                 if 0 < math.comb(nb, p) * cx.algebra.dim(k) <= 3000 and cx._nontrivial(p, k)]
+        p, k = data.draw(st.sampled_from(cases))
+        mat = cx.differential_matrix(p, k)
+        weights = cx._weights(p, k) if cx.algebra.multigraded else [1] * mat.cols
+        seeds = itertools.compress(range(mat.cols), weights)
+        assert mat.rank(weights) == sum(weights[cols[0]] * dense_block_rank(mat, cols, rows)
+                                        for cols, rows in mat._component_split(seeds))
+
+    @pytest.mark.parametrize("p", [5, 6])
+    def test_quadric_surface_blocks_peel_fully(self, p):
+        # criterion 8: d_6 holds its 646x2565 blocks; every block of both
+        # differentials reaches the dense kernel as a 0x0 residual
+        mat = KoszulComplex(hypersurface_spec(2, 3), d=3).differential_matrix(p, 3)
+        with dense_shapes() as shapes:
+            mat.rank()
+        assert shapes == [(0, 0)] * len(mat._component_split()) and len(shapes) > 1
+
+
 class TestArrayPath:
     """The numpy gather of a differential against the per-column loop, on both sides of the threshold."""
 
@@ -842,14 +975,16 @@ class TestElements:
         assert len({alpha(cx, 11, 4, cols[0]) for cols, _ in blocks}) == 2
         img = mat.apply({c: 1 + i for i, c in enumerate(blocks[0][0] + blocks[1][0])})
         assert all(set(img) & set(rows) for _, rows in blocks)
-        shapes = []
-        real = koszul._dense_rank_mod
-        monkeypatch.setattr(koszul, "_dense_rank_mod",
-                            lambda block, p: shapes.append(block.shape) or real(block, p))
+        ranked = []
+        real = SparseMatrix._block_rank
+        monkeypatch.setattr(SparseMatrix, "_block_rank",
+                            lambda m, cols, rows: ranked.append((cols, rows)) or real(m, cols, rows))
         assert cx.is_boundary(img, 10, 2)
-        # each block is eliminated apart, with and without its share of img
-        assert sorted(shapes) == sorted((len(rows), len(cols) + extra)
-                                        for cols, rows in blocks for extra in (0, 1))
+        # each block is ranked apart, with and without its share of img, the
+        # one column past mat.cols
+        assert sorted((rows, [c for c in cols if c < mat.cols], len(cols))
+                      for cols, rows in ranked) == sorted(
+            (rows, cols, len(cols) + extra) for cols, rows in blocks for extra in (0, 1))
         monkeypatch.undo()
         img[min(img)] += 1
         p = cx.field.modulus
@@ -957,6 +1092,15 @@ class TestResourceLimits:
         cx = KoszulComplex(TruncatedRing(4, 4), entry_budget=50)
         with pytest.raises(ResourceLimitError, match="budget is 50"):
             cx.kpq_dim(3, 1)
+
+    def test_budget_names_the_cell(self):
+        # q = (k - b) / d: with b = 1 and d = 4, d_3 of the cell (3, 1) leaves k = 5
+        cx = KoszulComplex(TruncatedRing(3, 4), b=1, entry_budget=50)
+        with pytest.raises(ResourceLimitError,
+                           match=r"cell \(p, q\) = \(3, 1\), coefficient degree k=5,"):
+            cx.kpq_dim(3, 1)
+        with pytest.raises(ResourceLimitError, match=r"= \(3, 3/4\), coefficient degree k=4,"):
+            cx.differential_matrix(3, 4)
 
     def test_budget_allows_trivial_slices(self):
         cx = KoszulComplex(TruncatedRing(2, 3), entry_budget=50)
