@@ -29,15 +29,19 @@ matrix is the whole differential.
 
 All linear algebra is exact over GF(p). Matrices are sparse and decompose
 into blocks, the connected components of their row/column graph (the
-complex's internal multigrading), walked from seed columns. Each block is
+complex's internal multigrading). `_component_split` indexes only the
+columns it is given, which must be a union of blocks, and lists each block
+in one walk as its columns and, per row, that row's columns. Each block is
 eliminated sparse-first by `_sparse_rank_mod`: singleton rows and columns
-are peeled, then Markowitz pivots are taken in Python ints while their fill
-stays small, and the residual, nearly always empty here, goes to
-`_dense_rank_mod`, in int64 with delayed reduction. `is_boundary` eliminates
-only the blocks its vector's rows meet, and splits nothing when one of those
-rows is empty, as a Veronese witness's row is. The modulus is capped at
-MAX_MODULUS, so (p-1)^2 fits in int64, and the trailing block is reduced mod
-p every (2^63 - 1) // (p-1)^2 pivots, so no intermediate value ever overflows.
+are peeled on that pattern alone, keeping live entry counts and reading no
+residue; the residues of what is left are read from the CSC lists, Markowitz
+pivots are taken in Python ints while their fill stays small, and the
+residual, nearly always empty here, goes to `_dense_rank_mod`, in int64 with
+delayed reduction. `is_boundary` walks only the blocks its vector's rows
+meet, and splits nothing when one of those rows is empty, as a Veronese
+witness's row is. The modulus is capped at MAX_MODULUS, so (p-1)^2 fits in
+int64, and the trailing block is reduced mod p every (2^63 - 1) // (p-1)^2
+pivots, so no intermediate value ever overflows.
 
 On the capped ring every basis element (f_1 ^ ... ^ f_p) (x) m has a
 multidegree alpha = f_1 + ... + f_p + m in Z^{n+1}, and the differential
@@ -48,10 +52,11 @@ is written once, in `_ProductTable.wedge_weights`: each column gets the block
 weight |S_{n+1} . alpha| = (n+1)! / prod(mult!) when alpha is sorted
 (nondecreasing) and 0 otherwise. `KoszulComplex._rank` lists these weights
 once per differential (`_weights`) and passes them to `SparseMatrix.rank`,
-which seeds the split with the columns of nonzero weight and adds up weight
-times rank over those blocks; the matrix itself carries no weight. ACM rings
-have no such grading (the Fermat relation is not multigraded), so their ranks
-take no weights and every block counts once.
+which splits only the columns of nonzero weight (a block's columns share
+one alpha, so a block holds either only those or none of them) and adds up
+weight times rank over their blocks; the matrix itself carries no weight.
+ACM rings have no such grading (the Fermat relation is not multigraded), so
+their ranks take no weights and every block counts once.
 
 Where `kpq_dim` first visits a cell whose two differentials are both
 nontrivial, it checks that they compose to zero and ranks those same
@@ -60,6 +65,7 @@ matrices.
 
 from __future__ import annotations
 
+import collections
 import heapq
 import itertools
 import math
@@ -288,81 +294,93 @@ class SparseMatrix:
 
     # -- block decomposition ------------------------------------------------
 
-    def _component_split(self, seeds: Iterable[int] | None = None
-                         ) -> list[tuple[list[int], list[int]]]:
-        """The components of the bipartite row/column graph that hold a
-        nonempty column of `seeds` (default: every column), as (columns, rows).
+    def _component_split(self, columns: Iterable[int] | None = None,
+                         rows: Iterable[int] | None = None
+                         ) -> list[tuple[list[int], dict[int, list[int]]]]:
+        """The blocks among `columns` (default: every column), the connected
+        components of their row/column graph, each as (columns, {row: columns}).
 
-        Rank is additive across components, and the differential's internal
-        multigrading shows up here automatically. A row -> columns index is
-        built once; each component is walked whole from its first unvisited
-        seed and listed once, its columns and rows ascending.
+        The row -> columns index is built over `columns` alone, so they must be
+        a union of blocks of the whole matrix; `rank` passes the columns of
+        nonzero weight, which are one because a weight is constant on each
+        block. With `rows`, only the blocks that meet one of those rows are
+        walked. A block is walked once, from its first nonempty column, which
+        heads its column list; its row lists are the index's own. Rank is
+        additive across blocks, and the differential's internal multigrading
+        shows up here automatically.
         """
         ptr, idx = self.ptr, self.idx
-        row_cols: list[list[int]] = [[] for _ in range(self.rows)]
-        for c in range(self.cols):
+        columns = range(self.cols) if columns is None else list(columns)
+        row_cols: dict[int, list[int]] = collections.defaultdict(list)
+        for c in columns:
             for r in idx[ptr[c]:ptr[c + 1]]:
                 row_cols[r].append(c)
-        col_seen, row_seen = [False] * self.cols, [False] * self.rows
+        seeds = columns if rows is None else [c for r in rows for c in row_cols.get(r, ())]
+        seen = bytearray(self.cols)
         blocks = []
-        for seed in range(self.cols) if seeds is None else seeds:
-            if col_seen[seed] or ptr[seed] == ptr[seed + 1]:
+        for seed in seeds:
+            if seen[seed] or ptr[seed] == ptr[seed + 1]:
                 continue
-            col_seen[seed] = True
-            cols_g, rows_g = [seed], []
+            seen[seed] = 1
+            cols_g, rows_g = [seed], {}
             for c in cols_g:  # cols_g grows while the walk reaches new columns
                 for r in idx[ptr[c]:ptr[c + 1]]:
-                    if not row_seen[r]:
-                        row_seen[r] = True
-                        rows_g.append(r)
-                        for c2 in row_cols[r]:
-                            if not col_seen[c2]:
-                                col_seen[c2] = True
+                    if r not in rows_g:
+                        cs = rows_g[r] = row_cols[r]
+                        for c2 in cs:
+                            if not seen[c2]:
+                                seen[c2] = 1
                                 cols_g.append(c2)
-            blocks.append((sorted(cols_g), sorted(rows_g)))
+            blocks.append((cols_g, rows_g))
         return blocks
 
     def rank(self, weights: Sequence[int] | None = None) -> int:
         """Rank over GF(modulus), or weight times rank summed over the blocks.
 
         `weights[c]`, constant on each block, is how many times the rank of
-        column c's block counts; the columns of nonzero weight seed the split,
+        column c's block counts; only the columns of nonzero weight are split,
         so only their blocks are eliminated. Without weights each counts once.
+        One weight is read per block, and it must be an integer >= 0.
         """
         weights = [1] * self.cols if weights is None else weights
         if len(weights) != self.cols:
             raise ParameterError(f"{len(weights)} weights for a matrix of {self.cols} columns")
-        return sum(weights[cols_g[0]] * self._block_rank(cols_g, rows_g) for cols_g, rows_g
-                   in self._component_split(itertools.compress(range(self.cols), weights)))
+        total = 0
+        for cols_g, rows_g in self._component_split(itertools.compress(range(self.cols), weights)):
+            weight = _as_int(weights[cols_g[0]], "rank weight")
+            if weight < 0:
+                raise ParameterError(f"rank weights must be >= 0, got {weight}")
+            total += weight * self._block_rank(cols_g, rows_g)
+        return total
 
-    def _block_rank(self, cols_g: list[int], rows_g: list[int]) -> int:
-        """Rank of the block on columns cols_g, whose entries lie in rows_g,
-        by `_sparse_rank_mod` on its columns read from the CSC lists."""
-        ptr, idx, val = self.ptr, self.idx, self.val
-        return _sparse_rank_mod(
-            {c: dict(zip(idx[ptr[c]:ptr[c + 1]], val[ptr[c]:ptr[c + 1]])) for c in cols_g},
-            rows_g, self.modulus)
+    def _block_rank(self, cols_g: list[int], rows_g: dict[int, list[int]]) -> int:
+        """Rank of one block of `_component_split` by `_sparse_rank_mod`, which
+        reads its residues from the CSC lists only where peeling stops."""
+        return _sparse_rank_mod(cols_g, rows_g, self.ptr, self.idx, self.val, self.modulus)
 
     def solve_consistent(self, rhs: Mapping[int, int]) -> bool:
         """True when self @ x = rhs has a solution over GF(modulus).
 
         False at once when the reduced rhs is nonzero in a row that no column
-        touches. Otherwise the columns with an entry in a row of rhs seed the
-        split, and each block is ranked with and without its share of rhs.
+        touches. Otherwise only the blocks that meet a row of rhs are split,
+        and each is ranked with and without its share of rhs.
         """
         rhs = {_as_int(r, "row index"): _as_int(v, "rhs entry") for r, v in rhs.items()}
         if any(not 0 <= r < self.rows for r in rhs):
             raise ParameterError(f"row index outside a {self.rows}x{self.cols} matrix")
-        p, n, ptr, idx = self.modulus, self.cols, self.ptr, self.idx
+        p, n = self.modulus, self.cols
         b = {r: v % p for r, v in sorted(rhs.items()) if v % p}
-        if not b.keys() <= set(idx):
+        if not b.keys() <= set(self.idx):
             return False
-        blocks = self._component_split(
-            c for c in range(n) if not b.keys().isdisjoint(idx[ptr[c]:ptr[c + 1]]))
-        shares = [{r: b[r] for r in rows_g if r in b} for _, rows_g in blocks]
-        parts = self._with_columns(shares)
-        return all(parts._block_rank(cols_g + [n + i], rows_g) == self._block_rank(cols_g, rows_g)
-                   for i, (cols_g, rows_g) in enumerate(blocks))
+        blocks = self._component_split(rows=b)
+        # column n + i of `parts` is block i's share of b
+        parts = self._with_columns([{r: v for r, v in b.items() if r in rows_g}
+                                    for _, rows_g in blocks])
+        for i, (cols_g, rows_g) in enumerate(blocks):
+            with_b = {r: cs + [n + i] if r in b else cs for r, cs in rows_g.items()}
+            if parts._block_rank(cols_g + [n + i], with_b) != self._block_rank(cols_g, rows_g):
+                return False
+        return True
 
     def _with_columns(self, columns: list[dict[int, int]]) -> "SparseMatrix":
         """Self with `columns` appended, each a {row: residue} in ascending rows."""
@@ -471,25 +489,65 @@ def _dense_rank_mod(block: np.ndarray, p: int) -> int:
     return rank
 
 
-def _sparse_rank_mod(cols: dict[int, dict[int, int]], rows: Iterable[int], p: int) -> int:
-    """Exact rank mod p of the matrix whose column c is cols[c], a {row: residue}
-    with residues in [1, p-1] and rows among `rows`; `cols` is consumed.
+def _sparse_rank_mod(block_cols: list[int], block_rows: dict[int, list[int]],
+                     ptr: list[int], idx: list[int], val: list[int], p: int) -> int:
+    """Exact rank mod p of one block: its columns `block_cols`, column c with
+    the residues val[ptr[c]:ptr[c+1]], each in [1, p-1], at the rows
+    idx[ptr[c]:ptr[c+1]], and its rows `block_rows`, each with its columns.
+    Neither is changed.
 
-    Each step pivots on one entry (r, c): column c is eliminated from the
-    columns meeting row r in Python ints, fill kept, and row r and column c
-    are deleted. A column or row with one live entry goes first (peeling: no
-    other entry changes). Else the Markowitz pivot is on the shortest live
-    column, from a lazy heap of (length, column), at its shortest row, unless
-    its fill bound (r-1)(c-1) is above _DENSE_FILL_SHARE of the live cells:
-    then the rest goes to `_dense_rank_mod`, called once, on 0x0 too.
+    First the block is peeled on its pattern: a column or row with one live
+    entry adds 1 to the rank, and deleting its row and column changes no
+    other entry, so only live entry counts are kept and no residue is read.
+    Then the residues of the columns left are read at the rows left, and each
+    step pivots on one entry (r, c): column c is eliminated from the columns
+    meeting row r in Python ints, fill kept, and row r and column c are
+    deleted. A column or row with one live entry still goes first. Else the
+    Markowitz pivot is on the shortest live column, from a lazy heap of
+    (length, column), at its shortest row, unless its fill bound (r-1)(c-1)
+    is above _DENSE_FILL_SHARE of the live cells: then the rest goes to
+    `_dense_rank_mod`, called once, on 0x0 too.
     """
-    row_cols: dict[int, set[int]] = {r: set() for r in rows}
-    for c, col in cols.items():
-        for r in col:
-            row_cols[r].add(c)
+    live_c = {c: ptr[c + 1] - ptr[c] for c in block_cols}
+    live_r = {r: len(cs) for r, cs in block_rows.items()}
+    col_stack = [c for c, n in live_c.items() if n == 1]
+    row_stack = [r for r, n in live_r.items() if n == 1]
     rank = 0
-    col_stack = [c for c, col in cols.items() if len(col) == 1]
-    row_stack = [r for r, cs in row_cols.items() if len(cs) == 1]
+    while col_stack or row_stack:
+        if col_stack:
+            if live_c.get(c := col_stack.pop()) != 1:
+                continue
+            del live_c[c]
+            for r in idx[ptr[c]:ptr[c + 1]]:
+                if r in live_r:
+                    break
+            del live_r[r]
+            for j in block_rows[r]:  # the other live columns of row r lose an entry
+                if j in live_c:
+                    n = live_c[j] = live_c[j] - 1
+                    if n == 1:
+                        col_stack.append(j)
+                    elif not n:
+                        del live_c[j]
+        else:
+            if live_r.get(r := row_stack.pop()) != 1:
+                continue
+            del live_r[r]
+            for c in block_rows[r]:
+                if c in live_c:
+                    break
+            del live_c[c]
+            for i in idx[ptr[c]:ptr[c + 1]]:  # the other live rows of column c lose an entry
+                if i in live_r:
+                    n = live_r[i] = live_r[i] - 1
+                    if n == 1:
+                        row_stack.append(i)
+                    elif not n:
+                        del live_r[i]
+        rank += 1
+    row_cols = {r: {c for c in block_rows[r] if c in live_c} for r in live_r}
+    cols = {c: {r: v for r, v in zip(idx[ptr[c]:ptr[c + 1]], val[ptr[c]:ptr[c + 1]])
+                if r in live_r} for c in live_c}
     heap: list[tuple[int, int]] | None = None
     while True:
         if col_stack:

@@ -233,3 +233,22 @@ def test_criterion_8_acm_spot_check():
         cx = KoszulComplex(spec, d=d)
         for p in pq:
             assert cx.kpq_dim(p, q) > 0, f"dim K_{{{p},{q}}} = 0 on the quadric"
+
+
+def test_first_cell_of_the_larger_grid():
+    # n=2, d=5, (b, q, p) = (0, 1, 7): the interval, the oracle over both
+    # primes and the witness agree; d_7 here is 111,384 x 572,832
+    ring = TruncatedRing(3, 5)
+    b, q, p = 0, 1, 7
+    pq = veronese_range_report(VeroneseParams(2, 5, b, q)).pq
+    assert (pq.lo, pq.hi) == (1, 15)
+    dims = [KoszulComplex(ring, b=b, field=prime).kpq_dim(p, q)
+            for prime in (DEFAULT_PRIME, SECONDARY_PRIME)]
+    assert dims == [417690, 417690]
+    f = leftmost_monomial(2, 5, q, b)
+    w = build_witness(f, p, zero_set(f, ring), divisor_set(f, ring),
+                      VeroneseWitnessParams(n=2, d=5, b=b, q=q))
+    assert verify_certificate(w).verdict
+    cx = KoszulComplex(ring, b=b)
+    assert cx.is_cycle(w, p, q)
+    assert not cx.is_boundary(w, p, q)

@@ -197,9 +197,11 @@ class TestPrimeField:
     lambda: SparseMatrix.from_triplets(3, 2, 5, [(0, 0, 1)]).apply({0: 1.5}),
     lambda: SparseMatrix.from_triplets(3, 2, 5, [(0, 0, 1)]).solve_consistent({0.5: 1}),
     lambda: SparseMatrix.from_triplets(3, 2, 5, [(0, 0, 1)]).solve_consistent({0: 1.5}),
+    lambda: SparseMatrix.from_triplets(3, 2, 5, [(0, 0, 1), (1, 1, 2)]).rank([1.5, 1]),
+    lambda: SparseMatrix.from_triplets(3, 2, 5, [(0, 0, 1), (1, 1, 2)]).rank([1, "2"]),
 ], ids=["float-modulus", "float-field", "float-index", "str-index", "float-value",
         "float-triplet-row", "float-dimension", "apply-float-index", "apply-float-value",
-        "solve-float-index", "solve-float-value"])
+        "solve-float-index", "solve-float-value", "rank-float-weight", "rank-str-weight"])
 def test_non_integer_inputs_refused(call):
     # int() would truncate or parse these into a different, valid input
     with pytest.raises(ParameterError, match="must be an integer"):
@@ -254,6 +256,14 @@ class TestSparseMatrix:
         assert m.rank() == m.rank([1, 1]) == 2
         for weights in ([1], [1, 1, 1]):
             with pytest.raises(ParameterError, match="weights for a matrix of 2 columns"):
+                m.rank(weights)
+
+    def test_rank_refuses_negative_weights(self):
+        # a negative weight would subtract its block's rank from the others
+        m = SparseMatrix.from_triplets(3, 2, 5, [(0, 0, 1), (1, 1, 1)])
+        assert m.rank([0, 3]) == 3
+        for weights in ([-1, 1], [1, -2]):
+            with pytest.raises(ParameterError, match="rank weights must be >= 0"):
                 m.rank(weights)
 
     def test_rank_depends_on_characteristic(self):
@@ -400,15 +410,59 @@ class TestSparseMatrix:
         got = m.solve_consistent({i: b for i, b in enumerate(rhs) if b % p})
         assert got == (augmented == plain)
 
-    @given(st.sampled_from([5, DEFAULT_PRIME]), st.booleans(), st.data())
+    @given(st.sampled_from([5, DEFAULT_PRIME]), st.sampled_from(["every", "union", "rows"]),
+           st.data())
     @settings(max_examples=120, deadline=None)
-    def test_component_split_matches_reference(self, p, every_column, data):
+    def test_component_split_matches_reference(self, p, kind, data):
         # p > 4, so every nonzero entry of `dense` is nonzero mod p
         rows, cols, dense = block_diagonal(data, p)
-        order = data.draw(st.permutations(range(cols)))
-        seeds = None if every_column else order[:data.draw(st.integers(0, cols))]
-        expected = reference_components(cols, dense, range(cols) if every_column else seeds)
-        assert sparse_of(rows, cols, dense, p)._component_split(seeds) == expected
+        mat = sparse_of(rows, cols, dense, p)
+        if kind == "every":
+            columns = seeds = range(cols)
+            got = mat._component_split()
+        elif kind == "union":
+            # the index covers `columns` only: a union of whole blocks, plus
+            # some empty columns, listed in any order
+            whole = reference_components(cols, dense, range(cols))
+            empty = [c for c in range(cols) if not any(row[c] for row in dense)]
+            chosen = [c for comp, _ in whole if data.draw(st.booleans()) for c in comp]
+            chosen += data.draw(st.lists(st.sampled_from(empty), unique=True)) if empty else []
+            columns = seeds = data.draw(st.permutations(chosen))
+            got = mat._component_split(iter(columns))
+        else:
+            columns = range(cols)
+            picked_rows = data.draw(st.lists(st.integers(0, rows - 1), unique=True)) if rows else []
+            seeds = [c for r in picked_rows for c in range(cols) if dense[r][c]]
+            got = mat._component_split(rows=picked_rows)
+        expected = reference_components(cols, dense, seeds)
+        assert [(sorted(cols_g), sorted(rows_g)) for cols_g, rows_g in got] == expected
+        for cols_g, rows_g in got:
+            # a block is headed by the seed it was walked from, and each row
+            # lists its columns in the order they were indexed
+            assert cols_g[0] == next(c for c in seeds if c in cols_g)
+            assert len(cols_g) == len(set(cols_g))
+            for r, cs in rows_g.items():
+                assert cs == [c for c in columns if dense[r][c]]
+
+    @given(st.sampled_from(EDGE_PRIMES), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_weighted_rank_matches_reference(self, p, data):
+        # weights constant on each block of the whole graph; rank() indexes
+        # only the columns of nonzero weight, the referee splits every column
+        rows, cols, dense = block_diagonal(data, p)
+        mat = sparse_of(rows, cols, dense, p)
+        weights = [0] * cols
+        for comp_cols, _ in reference_components(cols, dense, range(cols)):
+            w = data.draw(st.sampled_from([0, 0, 1, 2, 7]))
+            for c in comp_cols:
+                weights[c] = w
+        for c in range(cols):  # an empty column's weight is never read
+            if not any(row[c] for row in dense):
+                weights[c] = data.draw(st.integers(0, 9))
+        expected = sum(weights[comp_cols[0]] * reference_rank(
+            [[dense[r][c] for c in comp_cols] for r in comp_rows], p)
+            for comp_cols, comp_rows in reference_components(cols, dense, range(cols)))
+        assert mat.rank(weights) == expected
 
 
 class TestDenseRank:
@@ -516,6 +570,22 @@ class TestOrbitRank:
             moved = tuple(a[i] for i in sigma)
             assert moved in groups
             assert self.degree_rank(mat, groups[moved]) == self.degree_rank(mat, groups[a])
+
+    @given(st.integers(1, 3), st.integers(2, 4), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_weights_are_constant_on_blocks(self, n, d, data):
+        # rank() indexes only the columns of nonzero weight; that is exact
+        # because no block of the whole differential mixes zero and nonzero
+        ring = TruncatedRing(n + 1, d)
+        nb = len(enumerate_monomials(ring, d))
+        cx = KoszulComplex(ring, generator_order=data.draw(st.permutations(range(nb))))
+        k = data.draw(st.integers(0, ring.top_degree - d))
+        small = [p for p in range(1, nb + 1)
+                 if math.comb(nb, p) * cx.algebra.dim(k) <= 3000]
+        p = data.draw(st.sampled_from(small))
+        weights = cx._weights(p, k)
+        for cols, _ in cx.differential_matrix(p, k)._component_split():
+            assert len({weights[c] for c in cols}) == 1
 
     def test_one_elimination_per_orbit(self, monkeypatch):
         cx = KoszulComplex(TruncatedRing(3, 4))
@@ -749,23 +819,29 @@ class TestArrayPath:
         cx = KoszulComplex(TruncatedRing(3, 4))
         mat = cx.differential_matrix(5, 4)
         weights = cx._weights(5, 4)
-        full = mat._component_split()
-        weighted = sorted(comp for comp in full if weights[comp[0][0]])
+
+        def normal(blocks):
+            return sorted((sorted(cols), sorted(rows)) for cols, rows in blocks)
+
+        full = normal(mat._component_split())
+        weighted = [comp for comp in full if weights[comp[0][0]]]
         assert 0 < len(weighted) < len(full)
         slow = plain_rank(mat)
         fresh = cx.differential_matrix(5, 4)
         splits = []
         real = SparseMatrix._component_split
 
-        def spy(matrix, seeds=None):
-            out = real(matrix, seeds)
-            splits.append(out)
+        def spy(matrix, columns=None, rows=None):
+            columns = list(columns)
+            out = real(matrix, columns, rows)
+            splits.append((columns, rows, normal(out)))
             return out
 
         monkeypatch.setattr(SparseMatrix, "_component_split", spy)
         assert fresh.rank(weights) == slow
-        assert [sorted(s) for s in splits] == [weighted]
-        assert sorted(fresh._component_split()) == sorted(full)
+        assert splits == [([c for c in range(mat.cols) if weights[c]], None, weighted)]
+        monkeypatch.undo()
+        assert normal(fresh._component_split()) == full
 
 
 class TestKpqDims:
@@ -970,7 +1046,7 @@ class TestElements:
         # and deficient rank; the preimage spans two of them, of two multidegrees
         cx = KoszulComplex(TruncatedRing(3, 4))
         mat = cx.differential_matrix(11, 4)
-        blocks = [(cols, rows) for cols, rows in mat._component_split()
+        blocks = [(sorted(cols), sorted(rows)) for cols, rows in mat._component_split()
                   if 1 < mat._block_rank(cols, rows) < len(rows)][:2]
         assert len({alpha(cx, 11, 4, cols[0]) for cols, _ in blocks}) == 2
         img = mat.apply({c: 1 + i for i, c in enumerate(blocks[0][0] + blocks[1][0])})
@@ -982,7 +1058,7 @@ class TestElements:
         assert cx.is_boundary(img, 10, 2)
         # each block is ranked apart, with and without its share of img, the
         # one column past mat.cols
-        assert sorted((rows, [c for c in cols if c < mat.cols], len(cols))
+        assert sorted((sorted(rows), sorted(c for c in cols if c < mat.cols), len(cols))
                       for cols, rows in ranked) == sorted(
             (rows, cols, len(cols) + extra) for cols, rows in blocks for extra in (0, 1))
         monkeypatch.undo()
@@ -1007,7 +1083,7 @@ class TestElements:
         splits = []
         real = SparseMatrix._component_split
         monkeypatch.setattr(SparseMatrix, "_component_split",
-                            lambda self, seeds=None: splits.append(1) or real(self, seeds))
+                            lambda *args, **kwargs: splits.append(1) or real(*args, **kwargs))
         assert cx.is_cycle(w, p, 1)
         assert not cx.is_boundary(w, p, 1)
         assert splits == []
