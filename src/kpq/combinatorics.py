@@ -10,6 +10,7 @@ counts, and the binomial convention used by every closed-form formula.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,6 +34,14 @@ def binom(a: int, k: int) -> int:
     return math.comb(a, k)
 
 
+def _as_int(value, what: str) -> int:
+    """`value` as an int; floats, strings and other non-integers are refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True, slots=True)
 class TruncatedRing:
     """Descriptor for k[x_0..x_{num_vars-1}] with every variable's cap-th power zero."""
@@ -41,6 +50,8 @@ class TruncatedRing:
     cap: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "num_vars", _as_int(self.num_vars, "num_vars"))
+        object.__setattr__(self, "cap", _as_int(self.cap, "cap"))
         if self.num_vars < 0:
             raise ParameterError(f"num_vars must be >= 0, got {self.num_vars}")
         if self.cap < 1:

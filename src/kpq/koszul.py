@@ -37,10 +37,11 @@ are peeled on that pattern alone, keeping live entry counts and reading no
 residue; the residues of what is left are read from the CSC lists, Markowitz
 pivots are taken in Python ints while their fill stays small, and the
 residual, nearly always empty here, goes to `_dense_rank_mod`, in int64 with
-delayed reduction. `is_boundary` walks only the blocks its vector's rows
-meet, and splits nothing when one of those rows is empty, as a Veronese
-witness's row is. The modulus is capped at MAX_MODULUS, so (p-1)^2 fits in
-int64, and the trailing block is reduced mod p every (2^63 - 1) // (p-1)^2
+delayed reduction. `is_boundary` appends its vector as one more column and
+ranks the one block a walk from that column reaches, with and without it; it
+splits nothing when the vector meets a row that no column touches, as a
+Veronese witness does. The modulus is capped at MAX_MODULUS, so (p-1)^2 fits
+in int64, and the trailing block is reduced mod p every (2^63 - 1) // (p-1)^2
 pivots, so no intermediate value ever overflows.
 
 On the capped ring every basis element (f_1 ^ ... ^ f_p) (x) m has a
@@ -77,7 +78,7 @@ from typing import Iterable, Mapping, Sequence, Union
 import numpy as np
 
 from . import acm as _acm
-from .combinatorics import Monomial, TruncatedRing, enumerate_monomials, truncated_dim
+from .combinatorics import Monomial, TruncatedRing, _as_int, enumerate_monomials, truncated_dim
 from .errors import InconsistencyError, ParameterError, ResourceLimitError
 
 DEFAULT_PRIME = 32003
@@ -126,14 +127,6 @@ def _is_prime(m: int) -> bool:
         else:
             return False
     return True
-
-
-def _as_int(value, what: str) -> int:
-    """`value` as an int; floats, strings and other non-integers are refused."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ParameterError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -295,16 +288,16 @@ class SparseMatrix:
     # -- block decomposition ------------------------------------------------
 
     def _component_split(self, columns: Iterable[int] | None = None,
-                         rows: Iterable[int] | None = None
+                         seeds: Iterable[int] | None = None
                          ) -> list[tuple[list[int], dict[int, list[int]]]]:
-        """The blocks among `columns` (default: every column), the connected
-        components of their row/column graph, each as (columns, {row: columns}).
+        """The blocks among `columns` (default: every column) that hold a
+        column of `seeds` (default: `columns`), the connected components of
+        their row/column graph, each as (columns, {row: columns}).
 
         The row -> columns index is built over `columns` alone, so they must be
         a union of blocks of the whole matrix; `rank` passes the columns of
         nonzero weight, which are one because a weight is constant on each
-        block. With `rows`, only the blocks that meet one of those rows are
-        walked. A block is walked once, from its first nonempty column, which
+        block. A block is walked once, from its first nonempty seed, which
         heads its column list; its row lists are the index's own. Rank is
         additive across blocks, and the differential's internal multigrading
         shows up here automatically.
@@ -315,10 +308,9 @@ class SparseMatrix:
         for c in columns:
             for r in idx[ptr[c]:ptr[c + 1]]:
                 row_cols[r].append(c)
-        seeds = columns if rows is None else [c for r in rows for c in row_cols.get(r, ())]
         seen = bytearray(self.cols)
         blocks = []
-        for seed in seeds:
+        for seed in columns if seeds is None else seeds:
             if seen[seed] or ptr[seed] == ptr[seed + 1]:
                 continue
             seen[seed] = 1
@@ -339,31 +331,30 @@ class SparseMatrix:
 
         `weights[c]`, constant on each block, is how many times the rank of
         column c's block counts; only the columns of nonzero weight are split,
-        so only their blocks are eliminated. Without weights each counts once.
-        One weight is read per block, and it must be an integer >= 0.
+        so only their blocks are eliminated, each by `_sparse_rank_mod`.
+        Without weights each counts once. One weight is read per block, and it
+        must be an integer >= 0.
         """
         weights = [1] * self.cols if weights is None else weights
         if len(weights) != self.cols:
             raise ParameterError(f"{len(weights)} weights for a matrix of {self.cols} columns")
+        ptr, idx, val, p = self.ptr, self.idx, self.val, self.modulus
         total = 0
         for cols_g, rows_g in self._component_split(itertools.compress(range(self.cols), weights)):
             weight = _as_int(weights[cols_g[0]], "rank weight")
             if weight < 0:
                 raise ParameterError(f"rank weights must be >= 0, got {weight}")
-            total += weight * self._block_rank(cols_g, rows_g)
+            total += weight * _sparse_rank_mod(cols_g, rows_g, ptr, idx, val, p)
         return total
-
-    def _block_rank(self, cols_g: list[int], rows_g: dict[int, list[int]]) -> int:
-        """Rank of one block of `_component_split` by `_sparse_rank_mod`, which
-        reads its residues from the CSC lists only where peeling stops."""
-        return _sparse_rank_mod(cols_g, rows_g, self.ptr, self.idx, self.val, self.modulus)
 
     def solve_consistent(self, rhs: Mapping[int, int]) -> bool:
         """True when self @ x = rhs has a solution over GF(modulus).
 
-        False at once when the reduced rhs is nonzero in a row that no column
-        touches. Otherwise only the blocks that meet a row of rhs are split,
-        and each is ranked with and without its share of rhs.
+        False at once when the reduced rhs b is nonzero in a row that no
+        column touches. Otherwise b is appended as column n = self.cols, and
+        one walk from it gives one block, headed by n, holding every block b
+        meets: b is in the column span exactly when the rank of that block is
+        the rank of its other columns.
         """
         rhs = {_as_int(r, "row index"): _as_int(v, "rhs entry") for r, v in rhs.items()}
         if any(not 0 <= r < self.rows for r in rhs):
@@ -372,22 +363,14 @@ class SparseMatrix:
         b = {r: v % p for r, v in sorted(rhs.items()) if v % p}
         if not b.keys() <= set(self.idx):
             return False
-        blocks = self._component_split(rows=b)
-        # column n + i of `parts` is block i's share of b
-        parts = self._with_columns([{r: v for r, v in b.items() if r in rows_g}
-                                    for _, rows_g in blocks])
-        for i, (cols_g, rows_g) in enumerate(blocks):
-            with_b = {r: cs + [n + i] if r in b else cs for r, cs in rows_g.items()}
-            if parts._block_rank(cols_g + [n + i], with_b) != self._block_rank(cols_g, rows_g):
-                return False
-        return True
-
-    def _with_columns(self, columns: list[dict[int, int]]) -> "SparseMatrix":
-        """Self with `columns` appended, each a {row: residue} in ascending rows."""
-        ends = list(itertools.accumulate(map(len, columns), initial=self.nnz))
-        return SparseMatrix(self.rows, self.cols + len(columns), self.modulus, self.ptr + ends[1:],
-                            self.idx + [r for col in columns for r in col],
-                            self.val + [v for col in columns for v in col.values()])
+        if not b:
+            return True
+        aug = SparseMatrix(self.rows, n + 1, p, self.ptr + [self.nnz + len(b)],
+                           self.idx + list(b), self.val + list(b.values()))
+        [(cols_g, rows_g)] = aug._component_split(seeds=[n])
+        without = {r: [c for c in cs if c != n] for r, cs in rows_g.items()}
+        return (_sparse_rank_mod(cols_g, rows_g, aug.ptr, aug.idx, aug.val, p)
+                == _sparse_rank_mod(cols_g[1:], without, aug.ptr, aug.idx, aug.val, p))
 
     def apply(self, vec: Mapping[int, int]) -> dict[int, int]:
         """Matrix-vector product; vec is indexed by columns."""
@@ -451,8 +434,8 @@ class SparseMatrix:
         return cls.from_triplets(rows, cols, modulus, trips)
 
 
-def _dense_rank_mod(block: np.ndarray, p: int) -> int:
-    """Exact rank of an int64 block mod p, in place, for odd p <= MAX_MODULUS.
+def _dense_rank_mod(a: np.ndarray, p: int) -> int:
+    """Exact rank of an int64 block `a` mod p, in place, for odd p <= MAX_MODULUS.
 
     The block is first reduced to residues in [0, p-1]. After that only the
     pivot row is fully reduced, into the copy the update reads: later pivots
@@ -463,7 +446,6 @@ def _dense_rank_mod(block: np.ndarray, p: int) -> int:
     32003 and 1000003 that period is above 9 * 10^6 pivots, longer than any
     block, so no extra reduction runs.
     """
-    a = block if block.shape[0] <= block.shape[1] else block.T.copy()
     a %= p
     period = _INT64_MAX // (p - 1) ** 2
     m, n_cols = a.shape
@@ -783,10 +765,10 @@ class KoszulComplex:
                  generator_order: Sequence[int] | None = None):
         self.algebra = _algebra_for(ring_or_spec, d)
         self.d = self.algebra.d
-        self.b = b
+        self.b = _as_int(b, "b")
         self.field = (field if isinstance(field, PrimeField)
                       else PrimeField(DEFAULT_PRIME if field is None else field))
-        self.entry_budget = entry_budget
+        self.entry_budget = _as_int(entry_budget, "entry budget")
         gens = self.algebra.degree_basis(self.d)
         if generator_order is not None:
             if sorted(generator_order) != list(range(len(gens))):

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import itertools
 import math
@@ -151,6 +152,47 @@ def dense_shapes():
         yield shapes
 
 
+@contextlib.contextmanager
+def solve_calls():
+    """The (seeds, block columns) of every `_component_split` call and the
+    columns of every `_sparse_rank_mod` call made meanwhile."""
+    splits, ranked = [], []
+    real_split, real_rank = SparseMatrix._component_split, koszul._sparse_rank_mod
+
+    def split(matrix, columns=None, seeds=None):
+        seeds = None if seeds is None else list(seeds)
+        out = real_split(matrix, columns, seeds)
+        splits.append((seeds, [cols for cols, _ in out]))
+        return out
+
+    def rank(cols, rows, *rest):
+        ranked.append(list(cols))
+        return real_rank(cols, rows, *rest)
+
+    with mock.patch.object(SparseMatrix, "_component_split", split):
+        with mock.patch.object(koszul, "_sparse_rank_mod", rank):
+            yield splits, ranked
+
+
+def reference_boundary(mat, vec):
+    """Whether vec is in the column span of mat, by `reference_rank` with and
+    without vec as a column, on the rows and columns connected to vec's rows:
+    no other column meets those rows, and vec is zero on every other row."""
+    row_cols, col_rows, entry = collections.defaultdict(set), collections.defaultdict(set), {}
+    for r, c, v in mat.triplets():
+        row_cols[r].add(c)
+        col_rows[c].add(r)
+        entry[r, c] = v
+    rows, frontier = set(), set(vec)
+    while frontier:
+        rows |= frontier
+        frontier = {i for r in frontier for c in row_cols[r] for i in col_rows[c]} - rows
+    cols = sorted({c for r in rows for c in row_cols[r]})
+    dense = [[entry.get((r, c), 0) for c in cols] for r in sorted(rows)]
+    augmented = [row + [vec.get(r, 0)] for r, row in zip(sorted(rows), dense)]
+    return reference_rank(augmented, mat.modulus) == reference_rank(dense, mat.modulus)
+
+
 def shuffled(dense, data):
     """`dense` with its rows and its columns permuted."""
     rows = data.draw(st.permutations(range(len(dense))))
@@ -199,9 +241,14 @@ class TestPrimeField:
     lambda: SparseMatrix.from_triplets(3, 2, 5, [(0, 0, 1)]).solve_consistent({0: 1.5}),
     lambda: SparseMatrix.from_triplets(3, 2, 5, [(0, 0, 1), (1, 1, 2)]).rank([1.5, 1]),
     lambda: SparseMatrix.from_triplets(3, 2, 5, [(0, 0, 1), (1, 1, 2)]).rank([1, "2"]),
+    lambda: KoszulComplex(TruncatedRing(2, 3), b=0.5).kpq_dim(1, 1),
+    lambda: KoszulComplex(TruncatedRing(2, 3), entry_budget="x").kpq_dim(1, 1),
+    lambda: TruncatedRing(2, 3.0),
+    lambda: TruncatedRing(2.0, 3),
 ], ids=["float-modulus", "float-field", "float-index", "str-index", "float-value",
         "float-triplet-row", "float-dimension", "apply-float-index", "apply-float-value",
-        "solve-float-index", "solve-float-value", "rank-float-weight", "rank-str-weight"])
+        "solve-float-index", "solve-float-value", "rank-float-weight", "rank-str-weight",
+        "float-b", "str-entry-budget", "ring-float-cap", "ring-float-num-vars"])
 def test_non_integer_inputs_refused(call):
     # int() would truncate or parse these into a different, valid input
     with pytest.raises(ParameterError, match="must be an integer"):
@@ -410,7 +457,7 @@ class TestSparseMatrix:
         got = m.solve_consistent({i: b for i, b in enumerate(rhs) if b % p})
         assert got == (augmented == plain)
 
-    @given(st.sampled_from([5, DEFAULT_PRIME]), st.sampled_from(["every", "union", "rows"]),
+    @given(st.sampled_from([5, DEFAULT_PRIME]), st.sampled_from(["every", "union", "seeds"]),
            st.data())
     @settings(max_examples=120, deadline=None)
     def test_component_split_matches_reference(self, p, kind, data):
@@ -430,10 +477,10 @@ class TestSparseMatrix:
             columns = seeds = data.draw(st.permutations(chosen))
             got = mat._component_split(iter(columns))
         else:
+            # every column indexed, the walk only from `seeds`, empty ones included
             columns = range(cols)
-            picked_rows = data.draw(st.lists(st.integers(0, rows - 1), unique=True)) if rows else []
-            seeds = [c for r in picked_rows for c in range(cols) if dense[r][c]]
-            got = mat._component_split(rows=picked_rows)
+            seeds = data.draw(st.lists(st.integers(0, cols - 1))) if cols else []
+            got = mat._component_split(seeds=iter(seeds))
         expected = reference_components(cols, dense, seeds)
         assert [(sorted(cols_g), sorted(rows_g)) for cols_g, rows_g in got] == expected
         for cols_g, rows_g in got:
@@ -542,7 +589,8 @@ class TestOrbitRank:
 
     @staticmethod
     def degree_rank(mat, comps):
-        return sum(mat._block_rank(c, r) for c, r in comps)
+        return sum(koszul._sparse_rank_mod(c, r, mat.ptr, mat.idx, mat.val, mat.modulus)
+                   for c, r in comps)
 
     @given(st.integers(1, 3), st.integers(2, 4),
            st.sampled_from([3, 5, DEFAULT_PRIME, SECONDARY_PRIME]), st.data())
@@ -831,10 +879,10 @@ class TestArrayPath:
         splits = []
         real = SparseMatrix._component_split
 
-        def spy(matrix, columns=None, rows=None):
+        def spy(matrix, columns=None, seeds=None):
             columns = list(columns)
-            out = real(matrix, columns, rows)
-            splits.append((columns, rows, normal(out)))
+            out = real(matrix, columns, seeds)
+            splits.append((columns, seeds, normal(out)))
             return out
 
         monkeypatch.setattr(SparseMatrix, "_component_split", spy)
@@ -1041,27 +1089,24 @@ class TestElements:
         assert self.cx.is_cycle(img, 2, 1)
         assert self.cx.is_boundary(img, 2, 1)
 
-    def test_boundary_across_two_blocks(self, monkeypatch):
+    def test_boundary_across_two_blocks(self):
         # K_{10,2} of TruncatedRing(3, 4): d_11 has blocks of several columns
         # and deficient rank; the preimage spans two of them, of two multidegrees
         cx = KoszulComplex(TruncatedRing(3, 4))
         mat = cx.differential_matrix(11, 4)
         blocks = [(sorted(cols), sorted(rows)) for cols, rows in mat._component_split()
-                  if 1 < mat._block_rank(cols, rows) < len(rows)][:2]
+                  if 1 < dense_block_rank(mat, cols, rows) < len(rows)][:2]
         assert len({alpha(cx, 11, 4, cols[0]) for cols, _ in blocks}) == 2
         img = mat.apply({c: 1 + i for i, c in enumerate(blocks[0][0] + blocks[1][0])})
         assert all(set(img) & set(rows) for _, rows in blocks)
-        ranked = []
-        real = SparseMatrix._block_rank
-        monkeypatch.setattr(SparseMatrix, "_block_rank",
-                            lambda m, cols, rows: ranked.append((cols, rows)) or real(m, cols, rows))
-        assert cx.is_boundary(img, 10, 2)
-        # each block is ranked apart, with and without its share of img, the
-        # one column past mat.cols
-        assert sorted((sorted(rows), sorted(c for c in cols if c < mat.cols), len(cols))
-                      for cols, rows in ranked) == sorted(
-            (rows, cols, len(cols) + extra) for cols, rows in blocks for extra in (0, 1))
-        monkeypatch.undo()
+        with solve_calls() as (splits, ranked):
+            assert cx.is_boundary(img, 10, 2)
+        # one walk from the rhs column, the one past mat.cols, reaches both
+        # blocks, and their union is ranked with and without that column
+        union = sorted(blocks[0][0] + blocks[1][0])
+        [([seed], [block])] = splits
+        assert seed == block[0] == mat.cols and sorted(block[1:]) == union
+        assert sorted(map(sorted, ranked)) == [union, union + [mat.cols]]
         img[min(img)] += 1
         p = cx.field.modulus
         dense = [[0] * mat.cols for _ in range(mat.rows)]
@@ -1070,6 +1115,64 @@ class TestElements:
         augmented = [row + [img.get(r, 0)] for r, row in enumerate(dense)]
         assert reference_rank(augmented, p) > reference_rank(dense, p)
         assert not cx.is_boundary(img, 10, 2)
+
+    def test_spread_vector_is_ranked_in_one_block(self):
+        # d_5 of TruncatedRing(3, 4) at k = 0 is 5940x792 with one column per
+        # block; a dense image meets all 792 of them
+        cx = KoszulComplex(TruncatedRing(3, 4))
+        mat = cx.differential_matrix(5, 0)
+        img = mat.apply({c: 1 + c % 5 for c in range(mat.cols)})
+        with solve_calls() as (splits, ranked):
+            assert cx.is_boundary(img, 4, 1)
+        [([seed], [block])] = splits
+        assert seed == block[0] == mat.cols and sorted(block[1:]) == list(range(mat.cols))
+        assert sorted(map(len, ranked)) == [mat.cols, mat.cols + 1]
+        perturbed = dict(img)
+        perturbed[min(img)] += 1
+        assert not cx.is_boundary(perturbed, 4, 1)
+        # rows that are zero in A and in both vectors change no rank
+        p, rows = cx.field.modulus, sorted(set(mat.idx))
+        at = {r: i for i, r in enumerate(rows)}
+        dense = [[0] * mat.cols for _ in rows]
+        for r, c, v in mat.triplets():
+            dense[at[r]][c] = v
+        plain = reference_rank(dense, p)
+        for vec, boundary in ((img, True), (perturbed, False)):
+            augmented = [row + [vec.get(r, 0)] for r, row in zip(rows, dense)]
+            assert (reference_rank(augmented, p) == plain) is boundary
+
+    @given(st.integers(1, 3), st.integers(2, 4), st.sampled_from([5, DEFAULT_PRIME, SECONDARY_PRIME]),
+           st.sampled_from(["image", "perturbed", "random"]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_is_boundary_matches_reference(self, n, d, prime, kind, data):
+        # d_p leaves wedge^p (x) A_k, so it is the incoming differential of
+        # (p - 1, q) for k = q*d + b - d
+        ring = TruncatedRing(n + 1, d)
+        nb = len(enumerate_monomials(ring, d))
+        k = data.draw(st.integers(0, ring.top_degree - d))
+        cx = KoszulComplex(ring, b=k % d, field=prime)
+        small = [p for p in range(1, nb + 1) if math.comb(nb, p) * cx.algebra.dim(k) <= 3000]
+        p = data.draw(st.sampled_from(small))
+        q = k // d + 1
+        mat = cx.differential_matrix(p, k)
+        rng = data.draw(st.randoms(use_true_random=False))
+        nonzero = 1 + rng.randrange(prime - 1)
+        if kind == "image":
+            x = {c: rng.randrange(prime) for c in range(mat.cols) if rng.random() < 0.5}
+            assert cx.is_boundary(mat.apply(x), p - 1, q)
+            return
+        if kind == "perturbed":
+            vec = mat.apply({c: 1 + rng.randrange(prime - 1)
+                             for c in rng.sample(range(mat.cols), min(3, mat.cols))})
+            r = rng.choice(sorted(vec) or range(mat.rows))
+            vec[r] = (vec.get(r, 0) + nonzero) % prime
+        else:
+            # mostly on rows some column touches, so the walk is reached
+            touched = sorted(set(mat.idx)) or range(mat.rows)
+            vec = {rng.choice(touched): 1 + rng.randrange(prime - 1) for _ in range(3)}
+            if rng.random() < 0.25:
+                vec[rng.randrange(mat.rows)] = nonzero
+        assert cx.is_boundary(vec, p - 1, q) == reference_boundary(mat, vec)
 
     def test_witness_fails_before_any_split(self, monkeypatch):
         # a column hitting the witness row would need a degree-d divisor of f
