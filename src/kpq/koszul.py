@@ -32,15 +32,16 @@ into blocks, the connected components of their row/column graph (the
 complex's internal multigrading). `_component_split` indexes only the
 columns it is given, which must be a union of blocks, and lists each block
 in one walk as its columns and, per row, that row's columns. Each block is
-eliminated sparse-first by `_sparse_rank_mod`: singleton rows and columns
-are peeled on that pattern alone, keeping live entry counts and reading no
-residue; the residues of what is left are read from the CSC lists, Markowitz
-pivots are taken in Python ints while their fill stays small, and the
-residual, nearly always empty here, goes to `_dense_rank_mod`, in int64 with
-delayed reduction. `is_boundary` appends its vector as one more column and
-ranks the one block a walk from that column reaches, with and without it; it
-splits nothing when the vector meets a row that no column touches, as a
-Veronese witness does. The modulus is capped at MAX_MODULUS, so (p-1)^2 fits
+eliminated sparse-first by `_sparse_rank_mod`, as in structured Gaussian
+elimination: singleton rows and columns are peeled on that pattern alone,
+keeping live entry counts and reading no residue; then the residues of what
+is left are read from the CSC lists and one Markowitz heap picks pivots,
+taken in Python ints while their fill stays small; the residual, nearly
+always empty here, goes to `_dense_rank_mod`, in int64 with delayed
+reduction. `is_boundary` appends its vector as one more column and ranks the
+one block a walk from that column reaches, with and without it; it splits
+nothing when the vector meets a row that no column touches, as a Veronese
+witness does. The modulus is capped at MAX_MODULUS, so (p-1)^2 fits
 in int64, and the trailing block is reduced mod p every (2^63 - 1) // (p-1)^2
 pivots, so no intermediate value ever overflows.
 
@@ -172,6 +173,7 @@ def wedge_basis(nb: int, p: int) -> list[tuple[int, ...]]:
     list grows, so indices freeze together with the monomial enumeration.
     Returns [] for p < 0 or p > nb, and [()] for p = 0.
     """
+    nb, p = _as_int(nb, "nb"), _as_int(p, "p")
     if p < 0 or p > nb:
         return []
     # lex order over the elements taken in descending order is colex order
@@ -186,9 +188,12 @@ def colex_rank(combo: Sequence[int]) -> int:
 
 
 def colex_unrank(rank: int, p: int) -> tuple[int, ...]:
-    """Inverse of colex_rank for p-tuples."""
+    """Inverse of colex_rank for p-tuples: every rank >= 0 when p >= 1, and
+    only 0 when p = 0."""
+    rem, p = _as_int(rank, "rank"), _as_int(p, "p")
+    if rem < 0 or p < 0 or (p == 0 and rem):
+        raise ParameterError(f"no {p}-tuple has colex rank {rem}")
     out = []
-    rem = rank
     for i in range(p, 0, -1):
         c = i - 1
         while math.comb(c + 1, i) <= rem:
@@ -482,13 +487,14 @@ def _sparse_rank_mod(block_cols: list[int], block_rows: dict[int, list[int]],
     entry adds 1 to the rank, and deleting its row and column changes no
     other entry, so only live entry counts are kept and no residue is read.
     Then the residues of the columns left are read at the rows left, and each
-    step pivots on one entry (r, c): column c is eliminated from the columns
-    meeting row r in Python ints, fill kept, and row r and column c are
-    deleted. A column or row with one live entry still goes first. Else the
-    Markowitz pivot is on the shortest live column, from a lazy heap of
-    (length, column), at its shortest row, unless its fill bound (r-1)(c-1)
-    is above _DENSE_FILL_SHARE of the live cells: then the rest goes to
-    `_dense_rank_mod`, called once, on 0x0 too.
+    step takes the Markowitz pivot (r, c): c is the shortest live column, from
+    one heap of (length, column) built here and pushed whenever a column
+    changes, and r is its shortest row. Column c is eliminated from the
+    columns meeting row r in Python ints, fill kept, and row r and column c
+    are deleted. A column left with one entry comes off the heap before any
+    longer one, with fill bound 0; any pivot order is exact. Once the fill
+    bound (r-1)(c-1) is above _DENSE_FILL_SHARE of the live cells, the rest
+    goes to `_dense_rank_mod`, called once, on 0x0 too.
     """
     live_c = {c: ptr[c + 1] - ptr[c] for c in block_cols}
     live_r = {r: len(cs) for r, cs in block_rows.items()}
@@ -530,36 +536,17 @@ def _sparse_rank_mod(block_cols: list[int], block_rows: dict[int, list[int]],
     row_cols = {r: {c for c in block_rows[r] if c in live_c} for r in live_r}
     cols = {c: {r: v for r, v in zip(idx[ptr[c]:ptr[c + 1]], val[ptr[c]:ptr[c + 1]])
                 if r in live_r} for c in live_c}
-    heap: list[tuple[int, int]] | None = None
-    while True:
-        if col_stack:
-            col = cols.get(c := col_stack.pop())
-            if col is None or len(col) != 1:
-                continue
-            (r,) = col
-        elif row_stack:
-            cs = row_cols.get(r := row_stack.pop())
-            if cs is None or len(cs) != 1:
-                continue
-            (c,) = cs
-            col = cols[c]
-        elif not cols:
+    heap = [(len(col), c) for c, col in cols.items()]
+    heapq.heapify(heap)
+    while cols:
+        while len(cols.get(heap[0][1], ())) != heap[0][0]:
+            heapq.heappop(heap)
+        col = cols[c := heap[0][1]]
+        r = min(col, key=lambda i: len(row_cols[i]))
+        if (len(col) - 1) * (len(row_cols[r]) - 1) > _DENSE_FILL_SHARE * len(cols) * len(row_cols):
             break
-        else:
-            if heap is None:
-                heap = [(len(col), c) for c, col in cols.items()]
-                heapq.heapify(heap)
-            while len(cols.get(heap[0][1], ())) != heap[0][0]:
-                heapq.heappop(heap)
-            col = cols[c := heap[0][1]]
-            r = min(col, key=lambda i: len(row_cols[i]))
-            fill_bound = (len(col) - 1) * (len(row_cols[r]) - 1)
-            if fill_bound > _DENSE_FILL_SHARE * len(cols) * len(row_cols):
-                break
         del cols[c]
         inv = pow(col.pop(r), -1, p)
-        for i in col:
-            row_cols[i].discard(c)
         for j in row_cols.pop(r) - {c}:
             other = cols[j]
             f = other.pop(r) * inv % p
@@ -572,16 +559,13 @@ def _sparse_rank_mod(block_cols: list[int], block_rows: dict[int, list[int]],
                 elif i in other:
                     del other[i]
                     row_cols[i].discard(j)
-            if len(other) == 1:
-                col_stack.append(j)
-            elif not other:
-                del cols[j]
-            elif heap is not None:
+            if other:
                 heapq.heappush(heap, (len(other), j))
-        for i in col:
-            if len(row_cols[i]) == 1:
-                row_stack.append(i)
-            elif not row_cols[i]:
+            else:
+                del cols[j]
+        for i in col:  # the other rows of column c lose it, and go once empty
+            row_cols[i].discard(c)
+            if not row_cols[i]:
                 del row_cols[i]
         rank += 1
     block = np.array([[col.get(r, 0) for col in cols.values()] for r in row_cols],
@@ -787,10 +771,11 @@ class KoszulComplex:
         return len(self._gens)
 
     def coeff_degree(self, q: int) -> int:
-        return q * self.d + self.b
+        return _as_int(q, "q") * self.d + self.b
 
     def _dim(self, p: int, k: int) -> int:
         """dim wedge^p A_d (x) A_k."""
+        p, k = _as_int(p, "p"), _as_int(k, "coefficient degree")
         return math.comb(self.num_generators, p) * self.algebra.dim(k) if p >= 0 else 0
 
     def middle_dim(self, p: int, q: int) -> int:

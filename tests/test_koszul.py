@@ -245,10 +245,23 @@ class TestPrimeField:
     lambda: KoszulComplex(TruncatedRing(2, 3), entry_budget="x").kpq_dim(1, 1),
     lambda: TruncatedRing(2, 3.0),
     lambda: TruncatedRing(2.0, 3),
+    lambda: KoszulComplex(TruncatedRing(2, 3)).kpq_dim(1.0, 1),
+    lambda: KoszulComplex(TruncatedRing(2, 3)).kpq_dim(1, 1.0),
+    lambda: KoszulComplex(TruncatedRing(2, 3)).slice(1, 1.0),
+    lambda: KoszulComplex(TruncatedRing(2, 3)).differential_matrix(1.0, 3),
+    lambda: KoszulComplex(TruncatedRing(2, 3)).is_cycle({0: 1}, 1.0, 1),
+    lambda: KoszulComplex(TruncatedRing(2, 3)).is_boundary({0: 1}, 1, 1.0),
+    lambda: KoszulComplex(TruncatedRing(2, 3)).betti_row(1, [0, 1.5]),
+    lambda: colex_unrank(1.0, 2),
+    lambda: colex_unrank(1, 2.0),
+    lambda: wedge_basis(3, 1.0),
 ], ids=["float-modulus", "float-field", "float-index", "str-index", "float-value",
         "float-triplet-row", "float-dimension", "apply-float-index", "apply-float-value",
         "solve-float-index", "solve-float-value", "rank-float-weight", "rank-str-weight",
-        "float-b", "str-entry-budget", "ring-float-cap", "ring-float-num-vars"])
+        "float-b", "str-entry-budget", "ring-float-cap", "ring-float-num-vars",
+        "kpq-dim-float-p", "kpq-dim-float-q", "slice-float-q", "differential-float-p",
+        "cycle-float-p", "boundary-float-q", "betti-row-float-p", "unrank-float-rank",
+        "unrank-float-p", "wedge-basis-float-p"])
 def test_non_integer_inputs_refused(call):
     # int() would truncate or parse these into a different, valid input
     with pytest.raises(ParameterError, match="must be an integer"):
@@ -271,6 +284,11 @@ class TestWedgeBasis:
             for i, combo in enumerate(wedge_basis(6, p)):
                 assert colex_rank(combo) == i
                 assert colex_unrank(i, p) == combo
+        assert colex_unrank(0, 0) == ()
+        # each of these once returned a tuple of another rank or length
+        for rank, p in ((-1, 2), (5, 0), (0, -1)):
+            with pytest.raises(ParameterError, match="colex rank"):
+                colex_unrank(rank, p)
 
     @given(st.integers(1, 4), st.integers(0, 200))
     def test_unrank_round_trip(self, p, rank):
@@ -739,6 +757,17 @@ class TestSparseRank:
         with dense_shapes() as shapes:
             assert sparse_of(n, n, dense, p).rank() == reference_rank(dense, p) == n - (det == 0)
         assert shapes == [(2, 2)]
+        # rows s, t and a column x on them go in front, and a long pendant
+        # column meets every row: still nothing peels, x is the heap minimum,
+        # and its pivot on s leaves t one live entry, in the pendant column,
+        # which is not the heap minimum
+        x = data.draw(st.lists(st.integers(1, p - 1), min_size=2, max_size=2))
+        pendant = data.draw(st.lists(st.integers(1, p - 1), min_size=n + 2, max_size=n + 2))
+        grown = [[x[0]] + [0] * n, [x[1]] + [0] * n] + [[0] + row for row in dense]
+        grown = [row + [w] for row, w in zip(grown, pendant)]
+        with dense_shapes() as shapes:
+            assert sparse_of(n + 2, n + 2, grown, p).rank() == reference_rank(grown, p)
+        assert len(shapes) == 1
 
     @given(st.sampled_from(EDGE_PRIMES), st.integers(2, 9), st.integers(2, 9),
            st.booleans(), st.data())
