@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -407,101 +408,83 @@ def parse_grid(text: str) -> list[tuple[int, int]]:
     return sorted(cells)
 
 
-def _admissible_bq(n: int, d: int):
+def _sweep_oracle_cell(check, own_lists: tuple[str, ...],
+                       n: int, d: int, primes: list[int], budget: int) -> dict:
+    """Run `check` on each admissible (b, q) of the cell (n, d).
+
+    `check(cell, complex_for, primes, n, d, b, q)` appends what it finds to
+    the cell; `complex_for(prime, b)` builds the KoszulComplex of the
+    degree-d embedding of P^n twisted by b over GF(prime) once, at its first
+    call. A (b, q) that runs over the entry budget is recorded under
+    `skipped`, after whatever the check recorded before it did.
+    """
+    cell = {"n": n, "d": d, "checked": 0, "failures": [], "skipped": [],
+            **{name: [] for name in own_lists}}
+    complex_for = functools.cache(lambda prime, b: KoszulComplex(
+        TruncatedRing(n + 1, d), b=b, field=prime, entry_budget=budget))
     # q <= n + 1 for every admissible (b, q)
-    for b in range(d):
-        for q in range(n + 2):
-            if _ranges.admissible_q(_ranges.VeroneseParams(n, d, b, q)):
-                yield b, q
-
-
-def _complexes(n: int, d: int, prime: int, budget: int):
-    """b -> the KoszulComplex of the degree-d embedding of P^n twisted by b, built once."""
-    return functools.cache(lambda b: KoszulComplex(TruncatedRing(n + 1, d), b=b, field=prime,
-                                                   entry_budget=budget))
-
-
-def _sweep_ranges_cell(n: int, d: int, primes: list[int], budget: int) -> dict:
-    cell = {"n": n, "d": d, "checked": 0, "failures": [], "boundaries": [],
-            "characteristic_flags": [], "empty_intervals": [], "skipped": []}
-    cx_for = {prime: _complexes(n, d, prime, budget) for prime in primes}
-    for b, q in _admissible_bq(n, d):
-        report = _ranges.veronese_range_report(_ranges.VeroneseParams(n, d, b, q))
-        if report.pq.empty:
-            cell["empty_intervals"].append({"b": b, "q": q})
+    for b, q in itertools.product(range(d), range(n + 2)):
+        if not _ranges.admissible_q(_ranges.VeroneseParams(n, d, b, q)):
             continue
-        cxs = {prime: cx_for[prime](b) for prime in primes}
-        s_d = report.counts.s_d
-        probes = list(report.pq)
-        extra = []
-        if report.pq.lo - 1 >= 0:
-            extra.append(("below", report.pq.lo - 1))
-        if report.pq.hi + 1 <= s_d:
-            extra.append(("above", report.pq.hi + 1))
         try:
-            for p in probes:
-                dims = {prime: cx.kpq_dim(p, q) for prime, cx in cxs.items()}
-                cell["checked"] += 1
-                if any(v == 0 for v in dims.values()):
-                    cell["failures"].append(
-                        {"b": b, "q": q, "p": p,
-                         "dims": {str(k): v for k, v in dims.items()}}
-                    )
-                if len(set(dims.values())) > 1:
-                    cell["characteristic_flags"].append(
-                        {"b": b, "q": q, "p": p,
-                         "dims": {str(k): v for k, v in dims.items()}}
-                    )
-            for side, p in extra:
-                dim = cxs[primes[0]].kpq_dim(p, q)
-                cell["boundaries"].append({"b": b, "q": q, "p": p,
-                                           "side": side, "dim": dim})
+            check(cell, complex_for, primes, n, d, b, q)
         except ResourceLimitError as exc:
             cell["skipped"].append({"b": b, "q": q, "error": str(exc)})
     return cell
 
 
-def _sweep_duality_cell(n: int, d: int, primes: list[int], budget: int) -> dict:
-    cell = {"n": n, "d": d, "checked": 0, "failures": [], "skipped": []}
-    cx_for = _complexes(n, d, primes[0], budget)
-    for b, q in _admissible_bq(n, d):
-        try:
-            for p in range(cx_for(b).num_generators + 1):
-                dim = cx_for(b).kpq_dim(p, q)
-                dual = _ranges.dual_params(_ranges.VeroneseParams(n, d, b, q), p)
-                if dual.trivially_zero:
-                    dual_dim = 0
-                else:
-                    dual_dim = cx_for(dual.params.b).kpq_dim(dual.p_prime, dual.params.q)
-                cell["checked"] += 1
-                if dim != dual_dim:
-                    cell["failures"].append({
-                        "b": b, "q": q, "p": p, "dim": dim,
-                        "dual_p": dual.p_prime, "dual_q": dual.params.q,
-                        "dual_b": dual.params.b, "dual_dim": dual_dim,
-                    })
-        except ResourceLimitError as exc:
-            cell["skipped"].append({"b": b, "q": q, "error": str(exc)})
-    return cell
+def _check_ranges(cell, complex_for, primes, n, d, b, q) -> None:
+    """Every p of the certified interval is nonzero over each prime, with the
+    same dimension; the first prime also probes one step past each end."""
+    report = _ranges.veronese_range_report(_ranges.VeroneseParams(n, d, b, q))
+    pq = report.pq
+    if pq.empty:
+        cell["empty_intervals"].append({"b": b, "q": q})
+        return
+    cxs = {prime: complex_for(prime, b) for prime in primes}
+    for p in pq:
+        dims = {prime: cx.kpq_dim(p, q) for prime, cx in cxs.items()}
+        cell["checked"] += 1
+        entry = {"b": b, "q": q, "p": p, "dims": {str(k): v for k, v in dims.items()}}
+        if 0 in dims.values():
+            cell["failures"].append(entry)
+        if len(set(dims.values())) > 1:
+            cell["characteristic_flags"].append(dict(entry))
+    # 0 <= lo <= hi <= s_d, so each probe needs only its own side's test
+    for side, p in (("below", pq.lo - 1), ("above", pq.hi + 1)):
+        if 0 <= p <= report.counts.s_d:
+            cell["boundaries"].append({"b": b, "q": q, "p": p, "side": side,
+                                       "dim": cxs[primes[0]].kpq_dim(p, q)})
 
 
-def _sweep_shift_cell(n: int, d: int, primes: list[int], budget: int) -> dict:
-    cell = {"n": n, "d": d, "checked": 0, "failures": [], "skipped": []}
+def _check_duality(cell, complex_for, primes, n, d, b, q) -> None:
+    """dim K_{p,q}(b) equals the dimension of its dual group, for every p."""
+    cx, params = complex_for(primes[0], b), _ranges.VeroneseParams(n, d, b, q)
+    for p in range(cx.num_generators + 1):
+        dim = cx.kpq_dim(p, q)
+        dual = _ranges.dual_params(params, p)
+        dual_dim = 0 if dual.trivially_zero else complex_for(
+            primes[0], dual.params.b).kpq_dim(dual.p_prime, dual.params.q)
+        cell["checked"] += 1
+        if dim != dual_dim:
+            cell["failures"].append({
+                "b": b, "q": q, "p": p, "dim": dim,
+                "dual_p": dual.p_prime, "dual_q": dual.params.q,
+                "dual_b": dual.params.b, "dual_dim": dual_dim,
+            })
+
+
+def _check_shift(cell, complex_for, primes, n, d, b, q) -> None:
+    """dim K_{p,q}(b) equals dim K_{p,q+1}(b - d), for every p."""
     # b and b - d never coincide, so the shifted side is a separate recomputation
-    cx_for = _complexes(n, d, primes[0], budget)
-    for b, q in _admissible_bq(n, d):
-        cx, cx_shift = cx_for(b), cx_for(b - d)
-        try:
-            for p in range(cx.num_generators + 1):
-                dim = cx.kpq_dim(p, q)
-                shifted = cx_shift.kpq_dim(p, q + 1)
-                cell["checked"] += 1
-                if dim != shifted:
-                    cell["failures"].append({"b": b, "q": q, "p": p,
-                                             "dim": dim, "shifted_dim": shifted})
-        except ResourceLimitError as exc:
-            cell["skipped"].append({"b": b, "q": q, "error": str(exc)})
-    return cell
+    cx, cx_shift = complex_for(primes[0], b), complex_for(primes[0], b - d)
+    for p in range(cx.num_generators + 1):
+        dim = cx.kpq_dim(p, q)
+        shifted = cx_shift.kpq_dim(p, q + 1)
+        cell["checked"] += 1
+        if dim != shifted:
+            cell["failures"].append({"b": b, "q": q, "p": p,
+                                     "dim": dim, "shifted_dim": shifted})
 
 
 def _shifted_product_poly(shifts: list[int]) -> list[Fraction]:
@@ -597,9 +580,10 @@ def _sweep_asymptotics_cell(n: int, d: int, primes: list[int], budget: int) -> d
 
 
 _SWEEP_CELLS = {
-    "ranges": _sweep_ranges_cell,
-    "duality": _sweep_duality_cell,
-    "shift": _sweep_shift_cell,
+    "ranges": functools.partial(_sweep_oracle_cell, _check_ranges,
+                                ("boundaries", "characteristic_flags", "empty_intervals")),
+    "duality": functools.partial(_sweep_oracle_cell, _check_duality, ()),
+    "shift": functools.partial(_sweep_oracle_cell, _check_shift, ()),
     "asymptotics": _sweep_asymptotics_cell,
 }
 

@@ -334,11 +334,12 @@ class SparseMatrix:
     def rank(self, weights: Sequence[int] | None = None) -> int:
         """Rank over GF(modulus), or weight times rank summed over the blocks.
 
-        `weights[c]`, constant on each block, is how many times the rank of
-        column c's block counts; only the columns of nonzero weight are split,
-        so only their blocks are eliminated, each by `_sparse_rank_mod`.
-        Without weights each counts once. One weight is read per block, and it
-        must be an integer >= 0.
+        `weights[c]` is how many times the rank of column c's block counts;
+        only the columns of nonzero weight are split, so only their blocks are
+        eliminated, each by `_sparse_rank_mod`; a column of weight 0 is never
+        indexed, so the blocks are those of the other columns alone. Without
+        weights each counts once. A weight must be an
+        integer >= 0, and one block's columns must all have the same weight.
         """
         weights = [1] * self.cols if weights is None else weights
         if len(weights) != self.cols:
@@ -349,6 +350,9 @@ class SparseMatrix:
             weight = _as_int(weights[cols_g[0]], "rank weight")
             if weight < 0:
                 raise ParameterError(f"rank weights must be >= 0, got {weight}")
+            if any(weights[c] != weight for c in cols_g):
+                raise ParameterError(f"rank weights must be constant on a block, "
+                                     f"but column {cols_g[0]}'s block mixes weights")
             total += weight * _sparse_rank_mod(cols_g, rows_g, ptr, idx, val, p)
         return total
 
@@ -753,6 +757,8 @@ class KoszulComplex:
         self.field = (field if isinstance(field, PrimeField)
                       else PrimeField(DEFAULT_PRIME if field is None else field))
         self.entry_budget = _as_int(entry_budget, "entry budget")
+        if self.entry_budget < 1:
+            raise ParameterError(f"entry budget must be >= 1, got {self.entry_budget}")
         gens = self.algebra.degree_basis(self.d)
         if generator_order is not None:
             if sorted(generator_order) != list(range(len(gens))):

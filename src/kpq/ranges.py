@@ -16,7 +16,7 @@ import math
 
 from . import acm as _acm
 from . import witness as _witness
-from .combinatorics import binom, quot_rem_by_dm1
+from .combinatorics import _as_int, binom, quot_rem_by_dm1
 from .errors import InadmissibleWeightError, InconsistencyError, ParameterError
 
 
@@ -35,6 +35,8 @@ class VeroneseParams:
     shift: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n", "d", "b", "q", "shift"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if self.n < 1:
             raise ParameterError(f"n must be >= 1, got {self.n}")
         if self.d < 2:
@@ -71,6 +73,7 @@ def normalize(n: int, d: int, b: int, q: int) -> VeroneseParams:
     of d while q absorbs the shift. Rejects d < 2 (the cap leaves no monomials
     of positive degree to work with).
     """
+    d, b, q = _as_int(d, "d"), _as_int(b, "b"), _as_int(q, "q")
     if d < 2:
         raise ParameterError(f"d must be >= 2, got {d}")
     b_norm = b % d
@@ -164,7 +167,7 @@ class DualParams:
 def dual_params(params: VeroneseParams, p: int) -> DualParams:
     n, d, b, q = params.n, params.d, params.b, params.q
     r_d = binom(n + d, n) - 1
-    p_prime = r_d - n - p
+    p_prime = r_d - n - _as_int(p, "p")
     q_raw = n + 1 - q
     b_raw = -n - 1 - b
     normalized = normalize(n, d, b_raw, q_raw)
@@ -181,7 +184,9 @@ def dual_params(params: VeroneseParams, p: int) -> DualParams:
 # ---------------------------------------------------------------------------
 # ACM intervals
 
-def _check_acm_window(spec: _acm.ACMSpec, d: int, b: int, q: int) -> None:
+def _check_acm_window(spec: _acm.ACMSpec, d: int, b: int, q: int) -> tuple[int, int, int]:
+    """(d, b, q) as ints, once they are known to lie in the window."""
+    d, b, q = _as_int(d, "d"), _as_int(b, "b"), _as_int(q, "q")
     if q < 0 or q > spec.n:
         raise ParameterError(f"q must lie in [0, {spec.n}], got {q}")
     if b < 0:
@@ -190,6 +195,7 @@ def _check_acm_window(spec: _acm.ACMSpec, d: int, b: int, q: int) -> None:
         raise ParameterError(
             f"need d >= b + q + c + 1 = {b + q + spec.c + 1} (c = {spec.c}), got d={d}"
         )
+    return d, b, q
 
 
 def acm_range(spec: _acm.ACMSpec, d: int, b: int, q: int) -> PQRange:
@@ -202,7 +208,7 @@ def acm_range(spec: _acm.ACMSpec, d: int, b: int, q: int) -> PQRange:
       q = 0:         [0, r'_d - (d-b) C(n-1+d, n-1)]
     Requires d >= b + q + c + 1 and 0 <= q <= n.
     """
-    _check_acm_window(spec, d, b, q)
+    d, b, q = _check_acm_window(spec, d, b, q)
     n = spec.n
     inv = _acm.invariants(spec, d)
     deg_x = spec.deg_x
@@ -222,7 +228,7 @@ def acm_range_improved(spec: _acm.ACMSpec, d: int, b: int, q: int) -> PQRange:
     valid for q in [1, n-1]. With deg(X) = 1 this collapses to the plain
     projective-space lower endpoint.
     """
-    _check_acm_window(spec, d, b, q)
+    d, b, q = _check_acm_window(spec, d, b, q)
     if not 1 <= q <= spec.n - 1:
         raise ParameterError(
             f"the refined lower endpoint needs q in [1, {spec.n - 1}], got {q}"
@@ -250,6 +256,7 @@ class ACMRangeReport:
 
 def acm_range_report(spec: _acm.ACMSpec, d: int, b: int, q: int) -> ACMRangeReport:
     """acm_range plus the enumerated witness-set sizes behind it."""
+    d, b, q = _check_acm_window(spec, d, b, q)
     pq = acm_range(spec, d, b, q)
     improved = None
     if 1 <= q <= spec.n - 1:
@@ -295,6 +302,7 @@ def asymptotic_coefficients(n: int, q: int, b: int,
     stated relative to r'_d: lower ~ deg(X)(q+b+1)/(q-1)! * d^{q-1} and
     deficit ~ deg(X)/(n-q-1)! * d^{n-q}.
     """
+    n, q, b = _as_int(n, "n"), _as_int(q, "q"), _as_int(b, "b")
     if not 1 <= q <= n - 1:
         raise ParameterError(f"asymptotics need q in [1, {n - 1}], got {q}")
     if b < 0:
@@ -309,7 +317,7 @@ def asymptotic_coefficients(n: int, q: int, b: int,
             deficit_coeff=Fraction(1, math.factorial(n - q)),
             deficit_power=n - q,
         )
-    if deg_x < 1:
+    if _as_int(deg_x, "deg_x") < 1:
         raise ParameterError(f"need deg_x >= 1, got {deg_x}")
     return AsymptoticCoefficients(
         lower_coeff=Fraction(deg_x * (q + b + 1), math.factorial(q - 1)),

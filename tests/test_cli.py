@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from kpq.combinatorics import TruncatedRing
 from kpq.errors import ParameterError
 from kpq.koszul import KoszulComplex, SparseMatrix
 
+GOLDEN = Path(__file__).parent / "golden"
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -358,6 +360,21 @@ class TestSweepCommand:
         assert doc["verdict"] == "pass"
         cell = doc["cells"][0]
         assert cell["checked"] > 0
+
+    @pytest.mark.parametrize("golden, argv", [
+        ("sweep_ranges_n2_d5_budget2000.json",
+         ["--check", "ranges", "--grid", "n=2,d<=5", "--budget", "2000",
+          "--primes", "32003,1000003"]),
+        ("sweep_shift_n2_d4_budget5000.json",
+         ["--check", "shift", "--grid", "n=2,d=4", "--budget", "5000"]),
+    ])
+    def test_budget_forced_sweep_matches_golden(self, capsys, monkeypatch, golden, argv):
+        # 18 and 10 (b, q) run over the budget: the JSON pins what each check
+        # recorded before its skip, and the skip itself
+        monkeypatch.delenv("KPQ_PRIME", raising=False)
+        code, out, err = run(capsys, "sweep", *argv)
+        assert code == 0, err
+        assert out == (GOLDEN / golden).read_text()
 
     def test_bad_grid_exits_2(self, capsys):
         code, _, err = run(capsys, "sweep", "--check", "ranges", "--grid", "bogus")

@@ -331,6 +331,16 @@ class TestSparseMatrix:
             with pytest.raises(ParameterError, match="rank weights must be >= 0"):
                 m.rank(weights)
 
+    def test_rank_refuses_weights_that_vary_inside_a_block(self):
+        # one block of two columns: its rank read 2 under [1, 2] and 4 under [2, 1]
+        m = SparseMatrix.from_triplets(2, 2, 5, [(0, 0, 1), (0, 1, 1), (1, 1, 1)])
+        assert m.rank([3, 3]) == 6
+        for weights in ([1, 2], [2, 1]):
+            with pytest.raises(ParameterError, match="constant on a block"):
+                m.rank(weights)
+        # a column of weight 0 is left out of the walk, not compared
+        assert m.rank([0, 2]) == 2
+
     def test_rank_depends_on_characteristic(self):
         trips = [(0, 0, 2), (0, 1, 1), (1, 0, 1), (1, 1, 3)]  # det = 5
         assert SparseMatrix.from_triplets(2, 2, 5, trips).rank() == 1
@@ -1309,6 +1319,12 @@ class TestResourceLimits:
             cx.kpq_dim(3, 1)
         with pytest.raises(ResourceLimitError, match=r"= \(3, 3/4\), coefficient degree k=4,"):
             cx.differential_matrix(3, 4)
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_refused(self, budget):
+        # a budget of 0 once made every nonzero assembly a resource error
+        with pytest.raises(ParameterError, match="entry budget must be >= 1"):
+            KoszulComplex(TruncatedRing(2, 3), entry_budget=budget)
 
     def test_budget_allows_trivial_slices(self):
         cx = KoszulComplex(TruncatedRing(2, 3), entry_budget=50)

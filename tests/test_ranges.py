@@ -263,3 +263,32 @@ class TestAsymptotics:
             asymptotic_coefficients(3, 1, -1)
         with pytest.raises(ParameterError):
             asymptotic_coefficients(3, 1, 0, deg_x=0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: veronese_range(VeroneseParams(1.5, 3, 0, 1)),
+    lambda: VeroneseParams(2, 3.0, 0, 1),
+    lambda: VeroneseParams(2, 3, 0.0, 1),
+    lambda: VeroneseParams(2, 3, 0, 1.0),
+    lambda: VeroneseParams(2, 3, 0, 1, shift=0.0),
+    lambda: veronese_range(normalize(2, 3, 0, 1.0)),
+    lambda: normalize(2, 3.0, 0, 1),
+    lambda: normalize(2, 3, 0, "1"),
+    lambda: dual_params(VeroneseParams(2, 3, 0, 1), 1.5),
+    lambda: acm_range(hypersurface_spec(2, 3), 5, 0, 1.0),
+    lambda: acm_range_improved(hypersurface_spec(3, 2), 5, 0.0, 1),
+    lambda: acm_range_report(hypersurface_spec(2, 3), 5, 0, 1.0),
+    lambda: asymptotic_coefficients(3, 1.5, 0),
+    lambda: asymptotic_coefficients(3.0, 1, 0),
+    lambda: asymptotic_coefficients(3, 1, 0.0),
+    lambda: asymptotic_coefficients(4, 2, 1, deg_x=3.0),
+], ids=["range-float-n", "params-float-d", "params-float-b", "params-float-q",
+        "params-float-shift", "normalize-float-q", "normalize-float-d",
+        "normalize-str-q", "dual-float-p", "acm-float-q", "acm-improved-float-b",
+        "acm-report-float-q", "asym-float-q", "asym-float-n", "asym-float-b",
+        "asym-float-deg-x"])
+def test_non_integer_parameters_refused(call):
+    # each of these was once accepted as it stood, raised TypeError, or
+    # returned a non-integer p'
+    with pytest.raises(ParameterError, match="must be an integer"):
+        call()
