@@ -594,6 +594,9 @@ def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> dict:
               if args.primes else [cfg.field_prime])
     for prime in primes:
         PrimeField(prime)
+    if args.check in ("duality", "shift") and len(primes) > 1:
+        raise ParameterError(f"--check {args.check} compares over one prime, "
+                             f"got --primes {','.join(map(str, primes))}")
     worker = _SWEEP_CELLS[args.check]
     results = [worker(n, d, primes, cfg.size_budget) for n, d in cells]
 

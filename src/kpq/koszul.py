@@ -38,12 +38,13 @@ keeping live entry counts and reading no residue; then the residues of what
 is left are read from the CSC lists and one Markowitz heap picks pivots,
 taken in Python ints while their fill stays small; the residual, nearly
 always empty here, goes to `_dense_rank_mod`, in int64 with delayed
-reduction. `is_boundary` appends its vector as one more column and ranks the
-one block a walk from that column reaches, with and without it; it splits
-nothing when the vector meets a row that no column touches, as a Veronese
-witness does. The modulus is capped at MAX_MODULUS, so (p-1)^2 fits
-in int64, and the trailing block is reduced mod p every (2^63 - 1) // (p-1)^2
-pivots, so no intermediate value ever overflows.
+reduction. `is_cycle` reads d_p v off the product table. `is_boundary`
+assembles d_{p+1} only when the vector is zero on every row that d_{p+1}
+leaves untouched (a Veronese witness's row never is touched); then it ranks
+the one block a walk from the vector's column reaches, with and without it.
+The modulus is capped at MAX_MODULUS, so (p-1)^2 fits in int64, and the
+trailing block is reduced mod p every (2^63 - 1) // (p-1)^2 pivots, so no
+intermediate value ever overflows.
 
 On the capped ring every basis element (f_1 ^ ... ^ f_p) (x) m has a
 multidegree alpha = f_1 + ... + f_p + m in Z^{n+1}, and the differential
@@ -68,6 +69,7 @@ matrices.
 from __future__ import annotations
 
 import collections
+import functools
 import heapq
 import itertools
 import math
@@ -678,6 +680,21 @@ class _ProductTable:
             self._weights_by_gap: dict[int, list[int]] = {}
         self._arrays: tuple[np.ndarray, np.ndarray] | None = None
 
+    def removals(self, combo: tuple[int, ...]) -> list[tuple[int, list, int]]:
+        """(first row of combo without combo[t], terms[combo[t]], t % 2) for t from last to
+        first: column (combo, j) of d_p holds terms[combo[t]][j] there, negated for odd t."""
+        return [(colex_rank(combo[:t] + combo[t + 1:]) * self.n_dst, self.terms[combo[t]], t % 2)
+                for t in range(len(combo) - 1, -1, -1)]
+
+    @functools.cached_property
+    def sources(self) -> list[set[int]]:
+        """The generators with a product term at each basis element of A_{k+d}."""
+        out: list[set[int]] = [set() for _ in range(self.n_dst)]
+        for g, row in enumerate(self.terms):
+            for _, t in itertools.chain.from_iterable(row):
+                out[t].add(g)
+        return out
+
     def wedge_weights(self, combo: tuple[int, ...]) -> list[int]:
         """The block weight of (combo, m) for each m in basis_k.
 
@@ -780,12 +797,11 @@ class KoszulComplex:
         return _as_int(q, "q") * self.d + self.b
 
     def _dim(self, p: int, k: int) -> int:
-        """dim wedge^p A_d (x) A_k."""
-        p, k = _as_int(p, "p"), _as_int(k, "coefficient degree")
+        """dim wedge^p A_d (x) A_k, for ints p and k: the public methods check them."""
         return math.comb(self.num_generators, p) * self.algebra.dim(k) if p >= 0 else 0
 
     def middle_dim(self, p: int, q: int) -> int:
-        return self._dim(p, self.coeff_degree(q))
+        return self._dim(_as_int(p, "p"), self.coeff_degree(q))
 
     def _budget_check(self, p: int, k: int) -> None:
         dim_mid = self._dim(p, k)
@@ -801,6 +817,7 @@ class KoszulComplex:
 
     def differential_matrix(self, p: int, k: int) -> SparseMatrix:
         """The map wedge^p (x) A_k -> wedge^{p-1} (x) A_{k+d} as residues."""
+        p, k = _as_int(p, "p"), _as_int(k, "coefficient degree")
         mod = self.field.modulus
         n_src, rows = self._dim(p, k), self._dim(p - 1, k + self.d)
         if n_src == 0 or rows == 0:
@@ -838,11 +855,9 @@ class KoszulComplex:
         """
         mod = self.field.modulus
         table = self._table(k)
-        n_dst = table.n_dst
         ptr, idx, val = [0], [], []
         for combo in wedge_basis(self.num_generators, p):
-            removals = [(colex_rank(combo[:t] + combo[t + 1:]) * n_dst,
-                         table.terms[combo[t]], t % 2) for t in range(p - 1, -1, -1)]
+            removals = table.removals(combo)
             for j in range(table.n_src):
                 for base, terms, odd in removals:
                     for res, tj in terms[j]:
@@ -906,6 +921,7 @@ class KoszulComplex:
 
         The check is the one `kpq_dim` runs on its first visit to (p, q).
         """
+        p, q = _as_int(p, "p"), _as_int(q, "q")
         k = self.coeff_degree(q)
         d_p, d_p1 = self._checked_differentials(p, q)
         return ComplexSlice(
@@ -955,10 +971,11 @@ class KoszulComplex:
 
     def kpq_dim(self, p: int, q: int) -> int:
         """dim K_{p,q} over the field: dim ker d_p minus rank d_{p+1}."""
-        mid = self.middle_dim(p, q)
+        p, q = _as_int(p, "p"), _as_int(q, "q")
+        k = self.coeff_degree(q)
+        mid = self._dim(p, k)
         if mid == 0:
             return 0
-        k = self.coeff_degree(q)
         d_p = d_p1 = None
         if (p, q) not in self._chain_checked:
             d_p, d_p1 = self._checked_differentials(p, q)
@@ -1016,35 +1033,57 @@ class KoszulComplex:
         sign = -1 if inversions % 2 else 1
         return {pos: sign}, len(idx), q
 
-    def _coerce_element(self, element, p: int, q: int) -> dict[int, int]:
+    def _coerce_element(self, element, p: int, q: int) -> tuple[dict[int, int], int, int]:
+        """The element as {index: coefficient}, with p and k = q*d + b as ints."""
         from .witness import WitnessCycle
 
+        p, q = _as_int(p, "p"), _as_int(q, "q")
+        k = self.coeff_degree(q)
         if isinstance(element, WitnessCycle):
             vec, wp, wq = self.element_from_witness(element)
             if (wp, wq) != (p, q):
                 raise ParameterError(
                     f"witness lives at (p={wp}, q={wq}), not (p={p}, q={q})"
                 )
-            return vec
+            return vec, p, k
         vec = {_as_int(i, "element index"): _as_int(v, "element coefficient")
                for i, v in dict(element).items()}
-        mid = self.middle_dim(p, q)
+        mid = self._dim(p, k)
         if any(not 0 <= i < mid for i in vec):
             raise ParameterError(f"element index outside the {mid}-dimensional middle basis")
-        return vec
+        return vec, p, k
 
     def is_cycle(self, element, p: int, q: int) -> bool:
-        """True when the outgoing differential kills the element."""
-        vec = self._coerce_element(element, p, q)
-        if not vec:
+        """True when d_p kills the element: d_p v is summed mod p from its own
+        columns, read off the product table as `_columns_by_loop` reads them.
+        """
+        vec, p, k = self._coerce_element(element, p, q)
+        if not vec or not self._dim(p - 1, k + self.d):
             return True
-        mat = self.differential_matrix(p, self.coeff_degree(q))
-        return not mat.apply(vec)
+        self._budget_check(p, k)
+        table = self._table(k)
+        image: dict[int, int] = collections.defaultdict(int)
+        for pos, v in vec.items():
+            wedge, j = divmod(pos, table.n_src)
+            for base, terms, odd in table.removals(colex_unrank(wedge, p)):
+                for res, t in terms[j]:
+                    image[base + t] += -v * res if odd else v * res
+        return not any(x % self.field.modulus for x in image.values())
 
     def is_boundary(self, element, p: int, q: int) -> bool:
-        """True when the element is hit by the incoming differential."""
-        vec = self._coerce_element(element, p, q)
-        if not vec:
-            return True
-        mat = self.differential_matrix(p + 1, self.coeff_degree(q) - self.d)
-        return mat.solve_consistent(vec)
+        """True when d_{p+1} hits the element. Row (F, t) of d_{p+1} is touched when
+        a generator outside F has a product term at t (the table's `sources`);
+        d_{p+1} is assembled only if the element is nonzero in touched rows alone.
+        """
+        vec, p, k = self._coerce_element(element, p, q)
+        k -= self.d  # d_{p+1} leaves wedge^{p+1} (x) A_{k-d}
+        mod = self.field.modulus
+        if not vec or not self._dim(p + 1, k):
+            return not any(v % mod for v in vec.values())
+        self._budget_check(p + 1, k)
+        table = self._table(k)
+        for pos, v in vec.items():
+            wedge, t = divmod(pos, table.n_dst)
+            if v % mod and table.sources[t].issubset(colex_unrank(wedge, p)):
+                return False
+        return self.differential_matrix(p + 1, k).solve_consistent(vec)

@@ -385,6 +385,21 @@ class TestSweepCommand:
                            "n=1,d=2", "--primes", "32003,4")
         assert code == 2
 
+    @pytest.mark.parametrize("check", ["duality", "shift"])
+    @pytest.mark.parametrize("primes", ["32003,1000003", "32003,32003"])
+    def test_second_prime_refused_where_one_is_compared(self, capsys, check, primes):
+        # these checks compare over one prime; a listed second one would read as checked
+        code, out, err = run(capsys, "sweep", "--check", check, "--grid", "n=1,d=2",
+                             "--primes", primes)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: --check {check} compares over one prime")
+
+    @pytest.mark.parametrize("check", ["duality", "shift"])
+    def test_one_listed_prime_is_used(self, capsys, check):
+        doc = run_json(capsys, "sweep", "--check", check, "--grid", "n=1,d=2",
+                       "--primes", "1000003")
+        assert doc["primes"] == [1000003] and doc["verdict"] == "pass"
+
 
 class TestEnvironment:
     def test_env_prime_honored(self, capsys, monkeypatch):

@@ -174,6 +174,22 @@ def solve_calls():
             yield splits, ranked
 
 
+def draw_complex(data, prime):
+    """(cx, k): a complex over GF(prime), on the capped ring with n <= 3 and
+    d <= 4 or on the cubic surface spec at d = 3, twisted by b = k % d for a
+    drawn degree k with A_k and A_{k+d} nonzero. So d_p leaving wedge^p (x) A_k
+    is the outgoing differential of (p, k // d) and the incoming one of
+    (p - 1, k // d + 1)."""
+    if data.draw(st.booleans(), label="acm"):
+        ring, d = hypersurface_spec(2, 3), 3
+    else:
+        d = data.draw(st.integers(2, 4), label="d")
+        ring = TruncatedRing(data.draw(st.integers(1, 3), label="n") + 1, d)
+    algebra = KoszulComplex(ring, d=d).algebra
+    k = data.draw(st.sampled_from([k for k in range(64) if algebra.dim(k) and algebra.dim(k + d)]))
+    return KoszulComplex(ring, d=d, b=k % d, field=prime), k
+
+
 def reference_boundary(mat, vec):
     """Whether vec is in the column span of mat, by `reference_rank` with and
     without vec as a column, on the rows and columns connected to vec's rows:
@@ -1180,19 +1196,19 @@ class TestElements:
             augmented = [row + [vec.get(r, 0)] for r, row in zip(rows, dense)]
             assert (reference_rank(augmented, p) == plain) is boundary
 
-    @given(st.integers(1, 3), st.integers(2, 4), st.sampled_from([5, DEFAULT_PRIME, SECONDARY_PRIME]),
+    @given(st.sampled_from([5, DEFAULT_PRIME, SECONDARY_PRIME]),
            st.sampled_from(["image", "perturbed", "random"]), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_is_boundary_matches_reference(self, n, d, prime, kind, data):
+    def test_is_boundary_matches_reference(self, prime, kind, data):
         # d_p leaves wedge^p (x) A_k, so it is the incoming differential of
         # (p - 1, q) for k = q*d + b - d
-        ring = TruncatedRing(n + 1, d)
-        nb = len(enumerate_monomials(ring, d))
-        k = data.draw(st.integers(0, ring.top_degree - d))
-        cx = KoszulComplex(ring, b=k % d, field=prime)
-        small = [p for p in range(1, nb + 1) if math.comb(nb, p) * cx.algebra.dim(k) <= 3000]
+        cx, k = draw_complex(data, prime)
+        nb = cx.num_generators
+        # with no multigrading the reference ranks nearly the whole matrix
+        cap = 3000 if cx.algebra.multigraded else 800
+        small = [p for p in range(1, nb + 1) if math.comb(nb, p) * cx.algebra.dim(k) <= cap]
         p = data.draw(st.sampled_from(small))
-        q = k // d + 1
+        q = k // cx.d + 1
         mat = cx.differential_matrix(p, k)
         rng = data.draw(st.randoms(use_true_random=False))
         nonzero = 1 + rng.randrange(prime - 1)
@@ -1213,6 +1229,35 @@ class TestElements:
                 vec[rng.randrange(mat.rows)] = nonzero
         assert cx.is_boundary(vec, p - 1, q) == reference_boundary(mat, vec)
 
+    @given(st.sampled_from([5, DEFAULT_PRIME, LARGEST_PRIME]),
+           st.sampled_from(["image", "lifted", "perturbed", "random"]), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_is_cycle_matches_assembled_differential(self, prime, kind, data):
+        # is_cycle reads d_p v off the product table; the assembled d_p referees it
+        cx, k = draw_complex(data, prime)
+        nb, d = cx.num_generators, cx.d
+        small = [p for p in range(1, nb + 1) if math.comb(nb, p) * cx.algebra.dim(k) <= 3000
+                 and math.comb(nb, p + 1) * cx.algebra.dim(k - d) <= 3000]
+        p = data.draw(st.sampled_from(small))
+        mat = cx.differential_matrix(p, k)
+        rng = data.draw(st.randoms(use_true_random=False))
+        if kind == "random":
+            vec = {rng.randrange(mat.cols): rng.randrange(-prime, 2 * prime) for _ in range(3)}
+        else:
+            # an image of d_{p+1} is a cycle: its terms under d_p cancel mod p;
+            # lifted by multiples of p, they cancel mod p alone
+            incoming = cx.differential_matrix(p + 1, k - d)
+            vec = incoming.apply({c: 1 + rng.randrange(prime - 1)
+                                  for c in rng.sample(range(incoming.cols), min(4, incoming.cols))})
+            if kind == "lifted":
+                vec = {i: v + prime * rng.randint(-3, 3) for i, v in vec.items()}
+            if kind == "perturbed":
+                c = rng.randrange(mat.cols)
+                vec[c] = vec.get(c, 0) + 1 + rng.randrange(prime - 1)
+            else:
+                assert cx.is_cycle(vec, p, k // d)
+        assert cx.is_cycle(vec, p, k // d) == (not mat.apply(vec))
+
     def test_witness_fails_before_any_split(self, monkeypatch):
         # a column hitting the witness row would need a degree-d divisor of f
         # outside the wedge, and the wedge holds them all: the row is empty
@@ -1222,13 +1267,16 @@ class TestElements:
         p = veronese_range_report(VeroneseParams(2, 4, 0, 1)).pq.lo
         w = build_witness(f, p, zero_set(f, ring), divisor_set(f, ring), params)
         cx = KoszulComplex(ring)
-        splits = []
+        splits, assembled = [], []
         real = SparseMatrix._component_split
         monkeypatch.setattr(SparseMatrix, "_component_split",
                             lambda *args, **kwargs: splits.append(1) or real(*args, **kwargs))
+        real_assembly = KoszulComplex.differential_matrix
+        monkeypatch.setattr(KoszulComplex, "differential_matrix",
+                            lambda *args: assembled.append(args[1:]) or real_assembly(*args))
         assert cx.is_cycle(w, p, 1)
         assert not cx.is_boundary(w, p, 1)
-        assert splits == []
+        assert splits == [] and assembled == []
 
     @pytest.mark.parametrize("n, d", [(1, d) for d in range(2, 6)] + [(2, 2), (2, 3)])
     def test_witness_row_is_empty(self, n, d):
@@ -1329,6 +1377,29 @@ class TestResourceLimits:
     def test_budget_allows_trivial_slices(self):
         cx = KoszulComplex(TruncatedRing(2, 3), entry_budget=50)
         assert cx.kpq_dim(0, 0) == 1
+
+    @pytest.mark.parametrize("budget, refused", [
+        (100, {"is_cycle", "is_boundary"}), (500, {"is_cycle"}), (1000, set())])
+    def test_element_checks_keep_the_budget(self, budget, refused):
+        # the checks read the product table, yet refuse what assembly refuses:
+        # d_3 leaving k = 3 needs ~735 entries, d_4 leaving k = 0 ~140
+        ring = TruncatedRing(3, 3)
+        f = leftmost_monomial(2, 3, 1, 0)
+        w = build_witness(f, 3, zero_set(f, ring), divisor_set(f, ring),
+                          VeroneseWitnessParams(n=2, d=3, b=0, q=1))
+        cx = KoszulComplex(ring, entry_budget=budget)
+        for check, answer in (("is_cycle", True), ("is_boundary", False)):
+            if check in refused:
+                with pytest.raises(ResourceLimitError, match=f"budget is {budget}"):
+                    getattr(cx, check)(w, 3, 1)
+            else:
+                assert getattr(cx, check)(w, 3, 1) is answer
+
+    def test_element_checks_on_zero_maps_ignore_budget(self):
+        cx = KoszulComplex(TruncatedRing(3, 4), field=5, entry_budget=1)
+        assert cx.is_cycle({0: 1}, 11, 2)  # A_12 = 0
+        assert not cx.is_boundary({0: 1}, 1, 0)  # A_{-4} = 0
+        assert cx.is_boundary({0: 5}, 1, 0)  # 5 = 0 in GF(5)
 
     def test_zero_target_ignores_budget(self):
         # 36 source columns times p = 11 is over the budget, but A_12 = 0
