@@ -49,7 +49,6 @@ from .koszul import (
     DEFAULT_ENTRY_BUDGET,
     DEFAULT_PRIME,
     SECONDARY_PRIME,
-    ComplexSlice,
     KoszulComplex,
     PrimeField,
     SparseMatrix,
@@ -98,7 +97,7 @@ __version__ = "1.0.0"
 __all__ = [
     "ACMInvariants", "ACMMonomial", "ACMRangeReport", "ACMSpec", "ACMSpecError",
     "ACMWitnessParams", "AsymptoticCoefficients", "CertificateCheck",
-    "CertificateReport", "ComplexSlice", "CountFormulas", "DEFAULT_ENTRY_BUDGET",
+    "CertificateReport", "CountFormulas", "DEFAULT_ENTRY_BUDGET",
     "DEFAULT_PRIME", "DualParams", "ESetReport", "InadmissibleWeightError",
     "InconsistencyError", "KoszulComplex", "Monomial", "PQRange", "ParameterError",
     "PrimeField", "ResourceLimitError", "SECONDARY_PRIME", "SparseMatrix",

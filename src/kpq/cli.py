@@ -381,7 +381,8 @@ def parse_grid(text: str) -> list[tuple[int, int]]:
     """Expand a grid description like "n<=2,d<=4;n=3,d=2" into (n, d) cells.
 
     Each semicolon-separated clause must bound both n and d, with `=` or
-    `<=`; lower limits are n >= 1, d >= 2. "tiny" means "n<=2,d<=3".
+    `<=`; lower limits are n >= 1, d >= 2, and a clause bounding n or d
+    below them is refused. "tiny" means "n<=2,d<=3".
     """
     if text.strip() == "tiny":
         text = "n<=2,d<=3"
@@ -396,8 +397,10 @@ def parse_grid(text: str) -> list[tuple[int, int]]:
             if not m:
                 raise ParameterError(f"cannot parse grid term {part!r}")
             var, op, val = m.group(1), m.group(2), int(m.group(3))
-            lo = {"n": 1, "d": 2}[var] if op == "<=" else val
-            bounds[var] = (lo, val)
+            floor = {"n": 1, "d": 2}[var]
+            if val < floor:
+                raise ParameterError(f"grid clause {clause!r} needs {var} >= {floor}")
+            bounds[var] = (floor if op == "<=" else val, val)
         if "n" not in bounds or "d" not in bounds:
             raise ParameterError(f"grid clause {clause!r} must bound both n and d")
         for n in range(bounds["n"][0], bounds["n"][1] + 1):
@@ -418,7 +421,7 @@ def _sweep_oracle_cell(check, own_lists: tuple[str, ...],
     call. A (b, q) that runs over the entry budget is recorded under
     `skipped`, after whatever the check recorded before it did.
     """
-    cell = {"n": n, "d": d, "checked": 0, "failures": [], "skipped": [],
+    cell = {"n": n, "d": d, "checked": 0, "failures": [], "skipped": [], "_ranked": 0,
             **{name: [] for name in own_lists}}
     complex_for = functools.cache(lambda prime, b: KoszulComplex(
         TruncatedRing(n + 1, d), b=b, field=prime, entry_budget=budget))
@@ -433,6 +436,15 @@ def _sweep_oracle_cell(check, own_lists: tuple[str, ...],
     return cell
 
 
+def _compared(cell, *sides) -> None:
+    """Count one comparison of the cells (cx, p, q) in `sides`, and count it in
+    `_ranked` too when some side's kpq_dim needed a rank: its middle term and
+    one of its neighbours are nonzero. Otherwise K_{p,q} is the middle term."""
+    cell["checked"] += 1
+    cell["_ranked"] += any(cx.middle_dim(p, q) and (
+        cx.middle_dim(p - 1, q + 1) or cx.middle_dim(p + 1, q - 1)) for cx, p, q in sides)
+
+
 def _check_ranges(cell, complex_for, primes, n, d, b, q) -> None:
     """Every p of the certified interval is nonzero over each prime, with the
     same dimension; the first prime also probes one step past each end."""
@@ -444,7 +456,7 @@ def _check_ranges(cell, complex_for, primes, n, d, b, q) -> None:
     cxs = {prime: complex_for(prime, b) for prime in primes}
     for p in pq:
         dims = {prime: cx.kpq_dim(p, q) for prime, cx in cxs.items()}
-        cell["checked"] += 1
+        _compared(cell, (cxs[primes[0]], p, q))
         entry = {"b": b, "q": q, "p": p, "dims": {str(k): v for k, v in dims.items()}}
         if 0 in dims.values():
             cell["failures"].append(entry)
@@ -463,9 +475,12 @@ def _check_duality(cell, complex_for, primes, n, d, b, q) -> None:
     for p in range(cx.num_generators + 1):
         dim = cx.kpq_dim(p, q)
         dual = _ranges.dual_params(params, p)
-        dual_dim = 0 if dual.trivially_zero else complex_for(
-            primes[0], dual.params.b).kpq_dim(dual.p_prime, dual.params.q)
-        cell["checked"] += 1
+        sides, dual_dim = [(cx, p, q)], 0
+        if not dual.trivially_zero:
+            dual_cx = complex_for(primes[0], dual.params.b)
+            dual_dim = dual_cx.kpq_dim(dual.p_prime, dual.params.q)
+            sides.append((dual_cx, dual.p_prime, dual.params.q))
+        _compared(cell, *sides)
         if dim != dual_dim:
             cell["failures"].append({
                 "b": b, "q": q, "p": p, "dim": dim,
@@ -481,7 +496,7 @@ def _check_shift(cell, complex_for, primes, n, d, b, q) -> None:
     for p in range(cx.num_generators + 1):
         dim = cx.kpq_dim(p, q)
         shifted = cx_shift.kpq_dim(p, q + 1)
-        cell["checked"] += 1
+        _compared(cell, (cx, p, q), (cx_shift, p, q + 1))
         if dim != shifted:
             cell["failures"].append({"b": b, "q": q, "p": p,
                                      "dim": dim, "shifted_dim": shifted})
@@ -603,6 +618,8 @@ def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> dict:
     failures = [dict(f, n=c["n"], d=c["d"]) for c in results for f in c["failures"]]
     skipped = [dict(s, n=c["n"], d=c["d"]) for c in results for s in c.get("skipped", [])]
     checked = sum(c["checked"] for c in results)
+    ranked = sum(c.get("_ranked", 0) for c in results)
+    verdict = "fail" if failures else "skipped" if skipped and not ranked else "pass"
     payload = {
         "kind": "sweep",
         "check": args.check,
@@ -612,7 +629,7 @@ def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> dict:
         "failures": failures,
         "skipped": skipped,
         "cells": results,
-        "verdict": "fail" if failures else "pass",
+        "verdict": verdict,
     }
     lines = [
         f"sweep check={args.check} over {len(cells)} cell(s), primes {primes}",
@@ -622,8 +639,7 @@ def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> dict:
     for f in failures[:20]:
         lines.append(f"  FAIL {f}")
     payload["_table"] = "\n".join(lines) + "\n"
-    if failures:
-        payload["_exit"] = 4
+    payload["_exit"] = {"fail": 4, "skipped": 3, "pass": 0}[verdict]
     return payload
 
 

@@ -39,9 +39,10 @@ is left are read from the CSC lists and one Markowitz heap picks pivots,
 taken in Python ints while their fill stays small; the residual, nearly
 always empty here, goes to `_dense_rank_mod`, in int64 with delayed
 reduction. `is_cycle` reads d_p v off the product table. `is_boundary`
-assembles d_{p+1} only when the vector is zero on every row that d_{p+1}
-leaves untouched (a Veronese witness's row never is touched); then it ranks
-the one block a walk from the vector's column reaches, with and without it.
+alone tests for rows that d_{p+1} leaves untouched (a Veronese witness's row
+never is touched), on the table; only a vector zero on all of them assembles
+d_{p+1} for `solve_consistent`, which ranks the one block a walk from the
+vector's column reaches, with and without it.
 The modulus is capped at MAX_MODULUS, so (p-1)^2 fits in int64, and the
 trailing block is reduced mod p every (2^63 - 1) // (p-1)^2 pivots, so no
 intermediate value ever overflows.
@@ -61,9 +62,9 @@ weight times rank over their blocks; the matrix itself carries no weight.
 ACM rings have no such grading (the Fermat relation is not multigraded), so
 their ranks take no weights and every block counts once.
 
-Where `kpq_dim` first visits a cell whose two differentials are both
-nontrivial, it checks that they compose to zero and ranks those same
-matrices.
+The one chain check is in `kpq_dim`: where it first visits a cell whose two
+differentials are both nontrivial, it checks that they compose to zero and
+ranks those same matrices.
 """
 
 from __future__ import annotations
@@ -361,19 +362,17 @@ class SparseMatrix:
     def solve_consistent(self, rhs: Mapping[int, int]) -> bool:
         """True when self @ x = rhs has a solution over GF(modulus).
 
-        False at once when the reduced rhs b is nonzero in a row that no
-        column touches. Otherwise b is appended as column n = self.cols, and
-        one walk from it gives one block, headed by n, holding every block b
-        meets: b is in the column span exactly when the rank of that block is
-        the rank of its other columns.
+        The reduced rhs b is appended as column n = self.cols, and one walk
+        from it gives one block, headed by n, holding every block b meets: b is
+        in the column span exactly when the rank of that block is the rank of
+        its other columns. A row of b that no other column touches needs no
+        test of its own: there column n is alone, so it raises the rank.
         """
         rhs = {_as_int(r, "row index"): _as_int(v, "rhs entry") for r, v in rhs.items()}
         if any(not 0 <= r < self.rows for r in rhs):
             raise ParameterError(f"row index outside a {self.rows}x{self.cols} matrix")
         p, n = self.modulus, self.cols
         b = {r: v % p for r, v in sorted(rhs.items()) if v % p}
-        if not b.keys() <= set(self.idx):
-            return False
         if not b:
             return True
         aug = SparseMatrix(self.rows, n + 1, p, self.ptr + [self.nnz + len(b)],
@@ -739,22 +738,8 @@ def _algebra_for(ring_or_spec, d: int | None):
 # ---------------------------------------------------------------------------
 # The complex
 
-@dataclass(frozen=True, slots=True)
-class ComplexSlice:
-    """One assembled window around wedge index p at weight q."""
-
-    p: int
-    q: int
-    coeff_degree: int
-    left_dim: int
-    middle_dim: int
-    right_dim: int
-    d_p: SparseMatrix
-    d_p_plus_1: SparseMatrix
-
-
 class KoszulComplex:
-    """Assembles and eliminates slices of the complex for one (algebra, b),
+    """Assembles and eliminates the differentials of one (algebra, b),
     over the one prime field `field`.
 
     Product tables are cached per coefficient degree, ranks per (p,
@@ -916,48 +901,11 @@ class KoszulComplex:
         """The outgoing differential of the (p, q) middle term."""
         return self.differential_matrix(p, self.coeff_degree(q))
 
-    def slice(self, p: int, q: int) -> ComplexSlice:
-        """Assemble both differentials around (p, q) and verify the chain condition.
-
-        The check is the one `kpq_dim` runs on its first visit to (p, q).
-        """
-        p, q = _as_int(p, "p"), _as_int(q, "q")
-        k = self.coeff_degree(q)
-        d_p, d_p1 = self._checked_differentials(p, q)
-        return ComplexSlice(
-            p=p, q=q, coeff_degree=k,
-            left_dim=self._dim(p + 1, k - self.d),
-            middle_dim=self._dim(p, k),
-            right_dim=self._dim(p - 1, k + self.d),
-            d_p=d_p or self.differential_matrix(p, k),
-            d_p_plus_1=d_p1 or self.differential_matrix(p + 1, k - self.d),
-        )
-
     # -- ranks and dimensions ---------------------------------------------------
 
     def _nontrivial(self, p: int, k: int) -> bool:
         """Whether the differential leaving wedge^p (x) A_k can have nonzero rank."""
         return self._dim(p, k) > 0 and self._dim(p - 1, k + self.d) > 0
-
-    def _checked_differentials(self, p: int, q: int
-                               ) -> tuple[SparseMatrix | None, SparseMatrix | None]:
-        """Verify d_p d_{p+1} = 0 around (p, q) and record the cell as checked.
-
-        When both differentials are nontrivial they come back assembled in
-        full; otherwise there is nothing to compose, and both come back None.
-        """
-        k = self.coeff_degree(q)
-        d_p = d_p1 = None
-        if self._nontrivial(p, k) and self._nontrivial(p + 1, k - self.d):
-            d_p = self.differential_matrix(p, k)
-            d_p1 = self.differential_matrix(p + 1, k - self.d)
-            if not d_p.compose_is_zero(d_p1):
-                raise InconsistencyError(
-                    f"chain condition failed at p={p}, q={q}: the composed "
-                    f"differentials are nonzero mod {self.field.modulus}"
-                )
-        self._chain_checked.add((p, q))
-        return d_p, d_p1
 
     def _rank(self, p: int, k: int, mat: SparseMatrix | None = None) -> int:
         if not self._nontrivial(p, k):
@@ -970,15 +918,27 @@ class KoszulComplex:
         return self._raw_ranks[p, k]
 
     def kpq_dim(self, p: int, q: int) -> int:
-        """dim K_{p,q} over the field: dim ker d_p minus rank d_{p+1}."""
+        """dim K_{p,q} over the field: dim ker d_p minus rank d_{p+1}, which is
+        sound because d_p d_{p+1} = 0. The first visit to (p, q) with both maps
+        nontrivial checks that on the very matrices it then ranks, and records
+        (p, q) as checked only once the check has passed.
+        """
         p, q = _as_int(p, "p"), _as_int(q, "q")
         k = self.coeff_degree(q)
         mid = self._dim(p, k)
         if mid == 0:
             return 0
         d_p = d_p1 = None
-        if (p, q) not in self._chain_checked:
-            d_p, d_p1 = self._checked_differentials(p, q)
+        if ((p, q) not in self._chain_checked and self._nontrivial(p, k)
+                and self._nontrivial(p + 1, k - self.d)):
+            d_p = self.differential_matrix(p, k)
+            d_p1 = self.differential_matrix(p + 1, k - self.d)
+            if not d_p.compose_is_zero(d_p1):
+                raise InconsistencyError(
+                    f"chain condition failed at p={p}, q={q}: the composed "
+                    f"differentials are nonzero mod {self.field.modulus}"
+                )
+        self._chain_checked.add((p, q))
         dim = mid - self._rank(p, k, d_p) - self._rank(p + 1, k - self.d, d_p1)
         if dim < 0:
             raise InconsistencyError(

@@ -328,13 +328,12 @@ def acm_e_set(spec: _acm.ACMSpec, d: int, q: int, b: int) -> ESetReport:
             out.append(g)
     m, r = quot_rem_by_dm1(q, d, b)
     if (m, r) == (q, q + b):
-        dims, total = _acm.fermat_A_dims(spec, q, b, d)
+        dims, _ = _acm.fermat_A_dims(spec, q, b, d)
     else:
         # f is not of the q-step shape (boundary of the hypothesis region):
         # fall back to direct mixed-cap counting against f's exponents.
         caps = tuple(e + 1 for e in f.exponents)
         dims = tuple(mixed_cap_dim(caps, d - k) for k in spec.lambda_degrees)
-        total = sum(dims)
     coarse, refined = acm_e_bounds(spec, d, q, b)
     return ESetReport(
         monomials=tuple(out),

@@ -192,18 +192,18 @@ def test_criterion_6_counting_identities():
 
 
 def test_criterion_7_identity_suites(capsys):
-    with criterion(7, 300.0, "chain condition on every slice; twist-shift and "
+    with criterion(7, 300.0, "chain condition on every cell; twist-shift and "
                              "duality equalities on the tiny grid"):
-        slices = 0
+        cells = 0
         for n in (1, 2):
             for d in (2, 3):
                 for b in range(d):
                     cx = KoszulComplex(TruncatedRing(n + 1, d), b=b)
                     for q in range(0, n + 2):
                         for p in range(0, cx.num_generators + 1):
-                            cx.slice(p, q)  # raises InconsistencyError on failure
-                            slices += 1
-        assert slices >= 100
+                            cx.kpq_dim(p, q)  # raises InconsistencyError on failure
+                            cells += 1
+        assert cells >= 100
 
         shift = cli_json(capsys, "sweep", "--check", "shift", "--grid", "tiny")
         assert shift["verdict"] == "pass" and shift["checked"] > 0

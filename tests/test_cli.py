@@ -286,6 +286,14 @@ class TestGridParsing:
             (1, 2), (1, 3), (2, 2), (2, 3), (3, 2)]
         assert parse_grid("n == 2, d == 5") == [(2, 5)]
 
+    @pytest.mark.parametrize("grid, clause", [
+        ("n=0,d=2", "n=0,d=2"), ("n=2,d=1", "n=2,d=1"), ("n<=0,d<=3", "n<=0,d<=3"),
+        ("n=1,d=2;n=2,d=0", "n=2,d=0")])
+    def test_grid_below_the_lower_limits_refused(self, grid, clause):
+        # n >= 1 and d >= 2 hold for `=` clauses as for `<=` ones
+        with pytest.raises(ParameterError, match=f"grid clause '{clause}' needs [nd] >= [12]"):
+            parse_grid(grid)
+
     def test_tiny_alias(self):
         assert parse_grid("tiny") == parse_grid("n<=2,d<=3")
 
@@ -379,6 +387,24 @@ class TestSweepCommand:
     def test_bad_grid_exits_2(self, capsys):
         code, _, err = run(capsys, "sweep", "--check", "ranges", "--grid", "bogus")
         assert code == 2
+
+    @pytest.mark.parametrize("check", ["ranges", "asymptotics"])
+    @pytest.mark.parametrize("grid", ["n=2,d=1", "n=0,d=2"])
+    def test_grid_below_the_lower_limits_exits_2(self, capsys, check, grid):
+        code, out, err = run(capsys, "sweep", "--check", check, "--grid", grid)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: grid clause '{grid}' needs")
+
+    @pytest.mark.parametrize("check", ["ranges", "duality", "shift"])
+    def test_sweep_that_ranked_nothing_reads_skipped(self, capsys, check):
+        # budget 1 refuses every (b, q) whose cells need a rank; the comparisons
+        # made are answered by dimension count alone, with no rank
+        code, out, _ = run(capsys, "sweep", "--check", check, "--grid", "n=2,d=3",
+                           "--budget", "1")
+        doc = json.loads(out)
+        assert (code, doc["verdict"], len(doc["skipped"])) == (3, "skipped", 7)
+        assert doc["checked"] > 0 and doc["failures"] == []
+        assert "_ranked" not in out
 
     def test_bad_prime_list_exits_2(self, capsys):
         code, _, err = run(capsys, "sweep", "--check", "ranges", "--grid",

@@ -263,7 +263,6 @@ class TestPrimeField:
     lambda: TruncatedRing(2.0, 3),
     lambda: KoszulComplex(TruncatedRing(2, 3)).kpq_dim(1.0, 1),
     lambda: KoszulComplex(TruncatedRing(2, 3)).kpq_dim(1, 1.0),
-    lambda: KoszulComplex(TruncatedRing(2, 3)).slice(1, 1.0),
     lambda: KoszulComplex(TruncatedRing(2, 3)).differential_matrix(1.0, 3),
     lambda: KoszulComplex(TruncatedRing(2, 3)).is_cycle({0: 1}, 1.0, 1),
     lambda: KoszulComplex(TruncatedRing(2, 3)).is_boundary({0: 1}, 1, 1.0),
@@ -275,9 +274,9 @@ class TestPrimeField:
         "float-triplet-row", "float-dimension", "apply-float-index", "apply-float-value",
         "solve-float-index", "solve-float-value", "rank-float-weight", "rank-str-weight",
         "float-b", "str-entry-budget", "ring-float-cap", "ring-float-num-vars",
-        "kpq-dim-float-p", "kpq-dim-float-q", "slice-float-q", "differential-float-p",
-        "cycle-float-p", "boundary-float-q", "betti-row-float-p", "unrank-float-rank",
-        "unrank-float-p", "wedge-basis-float-p"])
+        "kpq-dim-float-p", "kpq-dim-float-q", "differential-float-p", "cycle-float-p",
+        "boundary-float-q", "betti-row-float-p", "unrank-float-rank", "unrank-float-p",
+        "wedge-basis-float-p"])
 def test_non_integer_inputs_refused(call):
     # int() would truncate or parse these into a different, valid input
     with pytest.raises(ParameterError, match="must be an integer"):
@@ -596,6 +595,13 @@ class TestDifferential:
         assert set(d2.triplets()) == {(1, 0, 32002), (2, 0, 1)}
         d1 = cx.differential_matrix(1, 0)
         assert set(d1.triplets()) == {(0, 0, 1), (1, 1, 1)}
+        # around (p, q) = (1, 1): d_1 leaves the middle term, d_2 enters it
+        k = cx.coeff_degree(1)
+        d_p, d_p1 = cx.differential_matrix(1, k), cx.differential_matrix(2, k - cx.d)
+        assert cx.middle_dim(1, 1) == 4
+        assert d_p.cols == d_p1.rows == cx.middle_dim(1, 1)
+        assert d_p1.cols == cx.middle_dim(2, 0)
+        assert d_p.rows == cx.middle_dim(0, 2)
 
     def test_zero_shapes(self):
         cx = KoszulComplex(TruncatedRing(2, 3))
@@ -610,22 +616,13 @@ class TestDifferential:
             cx = KoszulComplex(ring)
             for q in range(0, ring.n + 2):
                 for p in range(0, cx.num_generators + 1):
-                    cx.slice(p, q)  # raises InconsistencyError on failure
+                    cx.kpq_dim(p, q)  # raises InconsistencyError on failure
 
     def test_acm_chain_condition(self):
         cx = KoszulComplex(hypersurface_spec(2, 2), d=2)
         for q in range(0, 3):
             for p in range(0, cx.num_generators + 1):
-                cx.slice(p, q)
-
-    def test_slice_dimensions(self):
-        cx = KoszulComplex(TruncatedRing(2, 3))
-        sl = cx.slice(1, 1)
-        assert sl.middle_dim == 4
-        assert sl.d_p.cols == sl.middle_dim
-        assert sl.d_p_plus_1.rows == sl.middle_dim
-        assert sl.left_dim == sl.d_p_plus_1.cols
-        assert sl.right_dim == sl.d_p.rows
+                cx.kpq_dim(p, q)
 
 
 class TestOrbitRank:
@@ -1409,27 +1406,45 @@ class TestResourceLimits:
 
 
 class TestChainCheck:
-    """slice, kpq_dim and `kpq betti` share one chain check; a broken d_2 must trip it."""
+    """kpq_dim holds the one chain check, and `kpq betti` reaches it through
+    kpq_dim; a broken d_p or d_{p+1} must trip it."""
+
+    @staticmethod
+    def negate_one_entry(monkeypatch, wedge, pick):
+        """Negate entry pick(cx, k, triplets) of every assembled nonzero d_wedge."""
+        real = KoszulComplex.differential_matrix
+
+        def flipped(cx, p, k, **kwargs):
+            mat = real(cx, p, k, **kwargs)
+            trips = list(mat.triplets())
+            if p == wedge and trips:
+                i = pick(cx, k, trips)
+                r, c, v = trips[i]
+                trips[i] = (r, c, -v)
+            return SparseMatrix.from_triplets(mat.rows, mat.cols, mat.modulus, trips)
+
+        monkeypatch.setattr(KoszulComplex, "differential_matrix", flipped)
 
     @pytest.fixture
     def broken_d2(self, monkeypatch):
-        real = KoszulComplex.differential_matrix
+        self.negate_one_entry(monkeypatch, 2, lambda cx, k, trips: 0)
 
-        def flip_one_sign(cx, p, k, **kwargs):
-            mat = real(cx, p, k, **kwargs)
-            trips = list(mat.triplets())
-            if p == 2 and trips:
-                r, c, v = trips[0]
-                trips[0] = (r, c, -v)
-            return SparseMatrix.from_triplets(mat.rows, mat.cols, mat.modulus, trips)
+    @pytest.fixture
+    def broken_d3(self, monkeypatch):
+        # negating entry (r, c) of d_3 adds -2v times column r of d_2 to d_2 d_3,
+        # so r must be a nonzero column of d_2 (the first entry's is not)
+        def pick(cx, k, trips):
+            d2 = cx.differential_matrix(2, k + cx.d)
+            return next(i for i, (r, _, _) in enumerate(trips) if d2.ptr[r] < d2.ptr[r + 1])
 
-        monkeypatch.setattr(KoszulComplex, "differential_matrix", flip_one_sign)
-
-    def test_slice_reports_it(self, broken_d2):
-        with pytest.raises(InconsistencyError, match="chain condition failed at p=2, q=1"):
-            KoszulComplex(TruncatedRing(3, 3)).slice(2, 1)
+        self.negate_one_entry(monkeypatch, 3, pick)
 
     def test_kpq_dim_reports_it(self, broken_d2):
+        with pytest.raises(InconsistencyError, match="chain condition failed at p=2, q=1"):
+            KoszulComplex(TruncatedRing(3, 3)).kpq_dim(2, 1)
+
+    def test_kpq_dim_reports_a_broken_d_p_plus_1(self, broken_d3):
+        # (2, 1) composes d_2 with d_3: a break on the entering side is caught too
         with pytest.raises(InconsistencyError, match="chain condition failed at p=2, q=1"):
             KoszulComplex(TruncatedRing(3, 3)).kpq_dim(2, 1)
 
@@ -1440,19 +1455,10 @@ class TestChainCheck:
 
     def test_unsorted_multidegree_column_is_checked(self, monkeypatch):
         # kpq_dim ranks from sorted multidegrees, but composes the full d_2
-        real = KoszulComplex.differential_matrix
+        def pick(cx, k, trips):
+            return next(i for i, (_, c, _) in enumerate(trips)
+                        if list(alpha(cx, 2, k, c)) != sorted(alpha(cx, 2, k, c)))
 
-        def flip_unsorted(cx, p, k, **kwargs):
-            mat = real(cx, p, k, **kwargs)
-            if p != 2:
-                return mat
-            trips = list(mat.triplets())
-            i = next(i for i, (_, c, _) in enumerate(trips)
-                     if list(alpha(cx, p, k, c)) != sorted(alpha(cx, p, k, c)))
-            r, c, v = trips[i]
-            trips[i] = (r, c, -v)
-            return SparseMatrix.from_triplets(mat.rows, mat.cols, mat.modulus, trips)
-
-        monkeypatch.setattr(KoszulComplex, "differential_matrix", flip_unsorted)
+        self.negate_one_entry(monkeypatch, 2, pick)
         with pytest.raises(InconsistencyError, match="chain condition failed at p=2, q=1"):
             KoszulComplex(TruncatedRing(3, 3)).kpq_dim(2, 1)
