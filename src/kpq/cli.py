@@ -491,7 +491,9 @@ def _check_duality(cell, complex_for, primes, n, d, b, q) -> None:
 
 def _check_shift(cell, complex_for, primes, n, d, b, q) -> None:
     """dim K_{p,q}(b) equals dim K_{p,q+1}(b - d), for every p."""
-    # b and b - d never coincide, so the shifted side is a separate recomputation
+    # both sides have coefficient degree k = qd + b on one ring and field, so
+    # the second complex computes the same differentials and ranks again: a
+    # reproducibility check of the oracle, at twice its cost
     cx, cx_shift = complex_for(primes[0], b), complex_for(primes[0], b - d)
     for p in range(cx.num_generators + 1):
         dim = cx.kpq_dim(p, q)

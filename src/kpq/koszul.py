@@ -22,8 +22,9 @@ ranks of the sub-wedges come from prefix and suffix sums over a binomial
 table, and one `np.flatnonzero` over a (wedge, coefficient, removed
 position, term) array lists the entries in column order, rows ascending.
 Below that size the fixed cost of those numpy calls is more than the whole
-job, so a per-column loop reads the same table; the tests hold the two paths
-to identical columns. Both write the flat column lists of `SparseMatrix`
+job, so a per-column loop reads the same table, with the same prefix and
+suffix sums in Python (`_ProductTable.removals`); the tests hold the two
+paths to identical columns. Both write the flat column lists of `SparseMatrix`
 directly, and neither holds a wedge array past its call. Every assembled
 matrix is the whole differential.
 
@@ -52,13 +53,15 @@ multidegree alpha = f_1 + ... + f_p + m in Z^{n+1}, and the differential
 preserves it. Permuting the variables x_0..x_n maps the alpha-block of a
 differential onto the sigma(alpha)-block by a signed permutation of rows and
 columns, so the two have the same rank over every field. This orbit rule
-is written once, in `_ProductTable.wedge_weights`: each column gets the block
+is written once, in `KoszulComplex._weights`: each column gets the block
 weight |S_{n+1} . alpha| = (n+1)! / prod(mult!) when alpha is sorted
-(nondecreasing) and 0 otherwise. `KoszulComplex._rank` lists these weights
-once per differential (`_weights`) and passes them to `SparseMatrix.rank`,
-which splits only the columns of nonzero weight (a block's columns share
-one alpha, so a block holds either only those or none of them) and adds up
-weight times rank over their blocks; the matrix itself carries no weight.
+(nondecreasing) and 0 otherwise; a wedge's weights come from a memo on its
+gap code, a sum of per-generator codes, so no wedge tuple is built.
+`KoszulComplex._rank` lists them once per differential and passes them to
+`SparseMatrix.rank`, which splits only the columns of nonzero weight (a
+block's columns share one alpha, so a block holds either only those or none
+of them) and adds up weight times rank over their blocks; the matrix itself
+carries no weight.
 ACM rings have no such grading (the Fermat relation is not multigraded), so
 their ranks take no weights and every block counts once.
 
@@ -233,14 +236,6 @@ def _sub_wedge_ranks(combos: np.ndarray, binom: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Sparse matrices over GF(p)
-
-def _orbit_size(key: tuple[int, ...]) -> int:
-    """|S_{n+1} . alpha| = (n+1)! / prod(mult!) for alpha with sorted(alpha) == key."""
-    size = math.factorial(len(key))
-    for value in set(key):
-        size //= math.factorial(key.count(value))
-    return size
-
 
 class SparseMatrix:
     """Sparse matrix of residues mod an odd prime, in compressed sparse columns.
@@ -646,9 +641,10 @@ class _ProductTable:
     degree-(k+d) basis, with repeated labels merged, zero residues dropped and
     targets ascending. `arrays()` gives the same table as two (nb, dim A_k, T)
     arrays, residue and target, padded with residue 0; T is the longest list.
-    On a multigraded algebra `gen_exps` and `coeff_exps` hold the exponent
-    vectors of the generators and of basis_k, and `wedge_weights` the block
-    weights of a wedge's columns.
+    On a multigraded algebra `coeff_steps` holds the steps m_i - m_{i+1} of
+    each m in basis_k, `gap_codes` each generator's gap code, and
+    `weights_by_gap` the block weights of a wedge's columns, listed by
+    `KoszulComplex._weights` and memoised on the wedge's gap code.
     """
 
     def __init__(self, gens: Sequence, algebra, k: int, mod: int):
@@ -667,23 +663,34 @@ class _ProductTable:
                 row.append([(v % mod, t) for t, v in sorted(merged.items()) if v % mod])
             self.terms.append(row)
         if algebra.multigraded:
-            self.gen_exps = [g.exponents for g in gens]
-            self.coeff_exps = [m.exponents for m in src]
-            # a wedge's gaps sum(F)_{i+1} - sum(F)_i as one integer in base
-            # `radix`: every digit is a sum of at most nb generator gaps, so it
-            # lies strictly between -radix/2 and radix/2, and two wedges get
-            # the same code exactly when they have the same gaps
-            gaps = [list(map(operator.sub, e[1:], e)) for e in self.gen_exps]
-            radix = 2 * len(gens) * max((abs(x) for g in gaps for x in g), default=0) + 1
-            self._gap_codes = [sum(x * radix**i for i, x in enumerate(g)) for g in gaps]
-            self._weights_by_gap: dict[int, list[int]] = {}
+            self.coeff_steps = [tuple(map(operator.sub, m.exponents, m.exponents[1:])) for m in src]
+            # a wedge's gaps sum(F)_{i+1} - sum(F)_i as one integer in balanced
+            # base `radix`: every digit is a sum of at most nb generator gaps,
+            # so it lies strictly between -radix/2 and radix/2, and two wedges
+            # get the same code exactly when they have the same gaps
+            gaps = [list(map(operator.sub, g.exponents[1:], g.exponents)) for g in gens]
+            self.radix = 2 * len(gens) * max((abs(x) for g in gaps for x in g), default=0) + 1
+            self.gap_codes = [sum(x * self.radix**i for i, x in enumerate(g)) for g in gaps]
+            self.weights_by_gap: dict[int, list[int]] = {}
         self._arrays: tuple[np.ndarray, np.ndarray] | None = None
 
     def removals(self, combo: tuple[int, ...]) -> list[tuple[int, list, int]]:
         """(first row of combo without combo[t], terms[combo[t]], t % 2) for t from last to
-        first: column (combo, j) of d_p holds terms[combo[t]][j] there, negated for odd t."""
-        return [(colex_rank(combo[:t] + combo[t + 1:]) * self.n_dst, self.terms[combo[t]], t % 2)
-                for t in range(len(combo) - 1, -1, -1)]
+        first: column (combo, j) of d_p holds terms[combo[t]][j] there, negated for odd t.
+
+        The sub-wedge's colex rank is the sum of C(c_i, i+1) over i < t and of
+        C(c_i, i) over i > t: one pass takes the first sum down and the second
+        up, as `_sub_wedge_ranks` does over arrays.
+        """
+        p = len(combo)
+        up = list(map(math.comb, combo, range(1, p + 1)))
+        down = list(map(math.comb, combo, range(p)))
+        before, after, out = sum(up), 0, []
+        for t in range(p - 1, -1, -1):
+            before -= up[t]
+            out.append(((before + after) * self.n_dst, self.terms[combo[t]], t % 2))
+            after += down[t]
+        return out
 
     @functools.cached_property
     def sources(self) -> list[set[int]]:
@@ -693,25 +700,6 @@ class _ProductTable:
             for _, t in itertools.chain.from_iterable(row):
                 out[t].add(g)
         return out
-
-    def wedge_weights(self, combo: tuple[int, ...]) -> list[int]:
-        """The block weight of (combo, m) for each m in basis_k.
-
-        alpha = sum(F) + m is sorted iff m_i - m_{i+1} <= g_i for the gaps
-        g_i = sum(F)_{i+1} - sum(F)_i, and alpha_i = alpha_{i+1} iff equality
-        holds there, so the list depends on g alone and is memoised on it.
-        """
-        code = sum(map(self._gap_codes.__getitem__, combo))
-        found = self._weights_by_gap.get(code)
-        if found is None:
-            fsum = list(map(sum, zip(*(self.gen_exps[i] for i in combo))))
-            gap = tuple(map(operator.sub, fsum[1:], fsum))
-            found = self._weights_by_gap[code] = [
-                _orbit_size(tuple(map(operator.add, fsum, m)))
-                if all(map(operator.le, map(operator.sub, m, m[1:]), gap)) else 0
-                for m in self.coeff_exps
-            ]
-        return found
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         if self._arrays is None:
@@ -763,12 +751,16 @@ class KoszulComplex:
             raise ParameterError(f"entry budget must be >= 1, got {self.entry_budget}")
         gens = self.algebra.degree_basis(self.d)
         if generator_order is not None:
-            if sorted(generator_order) != list(range(len(gens))):
+            order = [_as_int(i, "generator_order entry") for i in generator_order]
+            if sorted(order) != list(range(len(gens))):
                 raise ParameterError("generator_order must be a permutation of the basis")
-            gens = [gens[i] for i in generator_order]
+            gens = [gens[i] for i in order]
         self._gens = gens
+        self._gen_index = {g: i for i, g in enumerate(gens)}
         # products per k, each built at its first assembly
         self._tables: dict[int, _ProductTable] = {}
+        # basis element -> position in A_k, per k, each built at its first witness
+        self._coeff_index: dict[int, dict] = {}
         self._raw_ranks: dict[tuple[int, int], int] = {}
         self._chain_checked: set[tuple[int, int]] = set()
 
@@ -821,12 +813,41 @@ class KoszulComplex:
         return table
 
     def _weights(self, p: int, k: int) -> list[int]:
-        """Block weight of each column of d_p, wedge by wedge."""
+        """Block weight of each column of d_p, wedge by wedge.
+
+        Column (F, m) has alpha = sum(F) + m, which is sorted iff
+        m_i - m_{i+1} <= g_i for the gaps g_i = sum(F)_{i+1} - sum(F)_i, with
+        alpha_i = alpha_{i+1} iff equality holds there. So a wedge's weights
+        depend on g alone and are memoised on its code, the sum of its
+        generators' codes. On a miss g is read back from the code's balanced
+        digits, and a sorted alpha gets |S_{n+1} . alpha| = (n+1)! / prod(run!)
+        over its runs of equal entries.
+        """
         table = self._table(k)
-        out: list[int] = []
-        for combo in wedge_basis(self.num_generators, p):
-            out += table.wedge_weights(combo)
-        return out
+        memo, radix, half = table.weights_by_gap, table.radix, table.radix // 2
+        n = self.algebra.ring.num_vars - 1
+        orbit = math.factorial(n + 1)
+        # combinations of the reversed codes list the wedges in reversed colex order
+        codes = list(map(sum, itertools.combinations(table.gap_codes[::-1], p)))
+        codes.reverse()
+        for code in set(codes).difference(memo):
+            gap, rest = [], code
+            for _ in range(n):
+                digit = rest % radix
+                digit -= radix if digit > half else 0
+                gap.append(digit)
+                rest = (rest - digit) // radix
+            weights = memo[code] = []
+            for steps in table.coeff_steps:
+                size, run = orbit, 1
+                for step, g in zip(steps, gap):
+                    if step > g:
+                        size = 0
+                        break
+                    run = run + 1 if step == g else 1
+                    size //= run
+                weights.append(size)
+        return list(itertools.chain.from_iterable(map(memo.__getitem__, codes)))
 
     # -- the per-column loop: small differentials, and the referee --------------
 
@@ -968,17 +989,18 @@ class KoszulComplex:
             raise ParameterError(
                 f"witness coefficient degree {w.coefficient.degree} does not match q*d+b={k}"
             )
-        gen_index = {g: i for i, g in enumerate(self._gens)}
         coeff_label = w.coefficient
         if isinstance(self.algebra, ReducedACMAlgebra):
             unit = self.algebra.spec.unit_index
             coeff_label = _acm.ACMMonomial(w.coefficient.exponents, unit)
-        coeffs = self.algebra.degree_basis(k)
-        coeff_pos = {m: i for i, m in enumerate(coeffs)}
+        coeff_pos = self._coeff_index.get(k)
+        if coeff_pos is None:
+            coeff_pos = self._coeff_index[k] = {
+                m: i for i, m in enumerate(self.algebra.degree_basis(k))}
         if coeff_label not in coeff_pos:
             raise ParameterError(f"coefficient {w.coefficient} is zero in the capped ring")
         try:
-            idx = [gen_index[f] for f in w.factors]
+            idx = [self._gen_index[f] for f in w.factors]
         except KeyError as exc:
             raise ParameterError(f"factor {exc.args[0]} is not a degree-d generator") from exc
         if len(set(idx)) != len(idx):
@@ -989,7 +1011,7 @@ class KoszulComplex:
             if order[i] > order[j]
         )
         combo = tuple(sorted(idx))
-        pos = colex_rank(combo) * len(coeffs) + coeff_pos[coeff_label]
+        pos = colex_rank(combo) * len(coeff_pos) + coeff_pos[coeff_label]
         sign = -1 if inversions % 2 else 1
         return {pos: sign}, len(idx), q
 

@@ -127,6 +127,10 @@ class TestArithmetic:
         socle = Monomial((2, 2, 2))
         assert annihilates(Monomial((1, 0, 0)), socle, ring)
         assert not annihilates(Monomial((0, 0, 0)), socle, ring)
+        assert annihilates(Monomial((0, 0, 1)), Monomial((0, 1, 2)), ring)
+        assert not annihilates(Monomial((1, 1, 0)), Monomial((1, 1, 2)), ring)
+        with pytest.raises(ParameterError, match="arity"):
+            annihilates(Monomial((1, 0)), socle, ring)
         assert divides(Monomial((1, 2, 0)), Monomial((2, 2, 1)))
         assert not divides(Monomial((1, 2, 0)), Monomial((2, 1, 1)))
 

@@ -270,13 +270,14 @@ class TestPrimeField:
     lambda: colex_unrank(1.0, 2),
     lambda: colex_unrank(1, 2.0),
     lambda: wedge_basis(3, 1.0),
+    lambda: KoszulComplex(TruncatedRing(2, 3), generator_order=[0.0, 1.0]),
 ], ids=["float-modulus", "float-field", "float-index", "str-index", "float-value",
         "float-triplet-row", "float-dimension", "apply-float-index", "apply-float-value",
         "solve-float-index", "solve-float-value", "rank-float-weight", "rank-str-weight",
         "float-b", "str-entry-budget", "ring-float-cap", "ring-float-num-vars",
         "kpq-dim-float-p", "kpq-dim-float-q", "differential-float-p", "cycle-float-p",
         "boundary-float-q", "betti-row-float-p", "unrank-float-rank", "unrank-float-p",
-        "wedge-basis-float-p"])
+        "wedge-basis-float-p", "generator-order-float"])
 def test_non_integer_inputs_refused(call):
     # int() would truncate or parse these into a different, valid input
     with pytest.raises(ParameterError, match="must be an integer"):
@@ -872,6 +873,34 @@ class TestArrayPath:
         expected = [orbit_weight(alpha(cx, p, k, c))
                     for c in range(math.comb(nb, p) * cx.algebra.dim(k))]
         assert cx._weights(p, k) == expected
+
+    @given(st.permutations(range(7)))
+    @settings(max_examples=10, deadline=None)
+    def test_weights_at_the_largest_radix(self, order):
+        # n = 1, d = 8 has the grid's largest gap radix, 2 * 7 * 6 + 1; a fresh
+        # complex per order starts from an empty gap memo, so every gap code
+        # is decoded from its digits at least once
+        ring = TruncatedRing(2, 8)
+        cx = KoszulComplex(ring, generator_order=order)
+        nb = cx.num_generators
+        for k in range(ring.top_degree + 1):
+            for p in range(nb + 1):
+                cols = math.comb(nb, p) * cx.algebra.dim(k)
+                if cols <= 3000:
+                    expected = [orbit_weight(alpha(cx, p, k, c)) for c in range(cols)]
+                    assert cx._weights(p, k) == expected, (order, p, k)
+
+    @given(st.integers(1, 3), st.integers(2, 4), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_removals_give_sub_wedge_rows(self, n, d, data):
+        ring = TruncatedRing(n + 1, d)
+        cx = KoszulComplex(ring)
+        table = cx._table(data.draw(st.integers(0, ring.top_degree - d)))
+        nb = cx.num_generators
+        combo = tuple(sorted(data.draw(st.sets(st.integers(0, nb - 1), max_size=nb))))
+        expected = [(colex_rank(combo[:t] + combo[t + 1:]) * table.n_dst,
+                     table.terms[combo[t]], t % 2) for t in reversed(range(len(combo)))]
+        assert table.removals(combo) == expected
 
     @given(st.sampled_from(ACM_RINGS),
            st.sampled_from([3, 5, DEFAULT_PRIME, SECONDARY_PRIME, LARGEST_PRIME]), st.data())
