@@ -25,8 +25,11 @@ Below that size the fixed cost of those numpy calls is more than the whole
 job, so a per-column loop reads the same table, with the same prefix and
 suffix sums in Python (`_ProductTable.removals`); the tests hold the two
 paths to identical columns. Both write the flat column lists of `SparseMatrix`
-directly, and neither holds a wedge array past its call. Every assembled
-matrix is the whole differential.
+directly, and neither holds a wedge array past its call. Each takes an
+optional column mask, and leaves the columns it masks out empty: `_rank`
+passes the orbit weights (below) when it assembles a differential only to
+rank it. The chain check, `is_boundary`, `--dump-dir` and every caller of
+`differential_matrix` without a mask get the whole differential.
 
 All linear algebra is exact over GF(p). Matrices are sparse and decompose
 into blocks, the connected components of their row/column graph (the
@@ -57,11 +60,12 @@ is written once, in `KoszulComplex._weights`: each column gets the block
 weight |S_{n+1} . alpha| = (n+1)! / prod(mult!) when alpha is sorted
 (nondecreasing) and 0 otherwise; a wedge's weights come from a memo on its
 gap code, a sum of per-generator codes, so no wedge tuple is built.
-`KoszulComplex._rank` lists them once per differential and passes them to
-`SparseMatrix.rank`, which splits only the columns of nonzero weight (a
-block's columns share one alpha, so a block holds either only those or none
-of them) and adds up weight times rank over their blocks; the matrix itself
-carries no weight.
+`KoszulComplex._rank` lists them once per differential, gathers only the
+columns of nonzero weight unless the chain check has just assembled the
+whole matrix, and passes them to `SparseMatrix.rank`, which splits only
+those columns (a block's columns share one alpha, so a block holds either
+only those or none of them) and adds up weight times rank over their blocks;
+the matrix itself carries no weight.
 ACM rings have no such grading (the Fermat relation is not multigraded), so
 their ranks take no weights and every block counts once.
 
@@ -342,12 +346,14 @@ class SparseMatrix:
         weights = [1] * self.cols if weights is None else weights
         if len(weights) != self.cols:
             raise ParameterError(f"{len(weights)} weights for a matrix of {self.cols} columns")
+        # every weight, also of a column no block holds: each distinct value once
+        for weight in set(weights):
+            if _as_int(weight, "rank weight") < 0:
+                raise ParameterError(f"rank weights must be >= 0, got {weight}")
         ptr, idx, val, p = self.ptr, self.idx, self.val, self.modulus
         total = 0
         for cols_g, rows_g in self._component_split(itertools.compress(range(self.cols), weights)):
             weight = _as_int(weights[cols_g[0]], "rank weight")
-            if weight < 0:
-                raise ParameterError(f"rank weights must be >= 0, got {weight}")
             if any(weights[c] != weight for c in cols_g):
                 raise ParameterError(f"rank weights must be constant on a block, "
                                      f"but column {cols_g[0]}'s block mixes weights")
@@ -481,21 +487,27 @@ def _sparse_rank_mod(block_cols: list[int], block_rows: dict[int, list[int]],
     """Exact rank mod p of one block: its columns `block_cols`, column c with
     the residues val[ptr[c]:ptr[c+1]], each in [1, p-1], at the rows
     idx[ptr[c]:ptr[c+1]], and its rows `block_rows`, each with its columns.
-    Neither is changed.
+    Every column has an entry; a row may have none (`solve_consistent` ranks
+    its block without the appended column). Neither is changed.
 
-    First the block is peeled on its pattern: a column or row with one live
-    entry adds 1 to the rank, and deleting its row and column changes no
-    other entry, so only live entry counts are kept and no residue is read.
-    Then the residues of the columns left are read at the rows left, and each
-    step takes the Markowitz pivot (r, c): c is the shortest live column, from
+    A block of one column, or of one row and at least one column, has rank 1
+    and returns at once. Otherwise it is first peeled on its pattern: a
+    column or row with one live entry adds 1 to the rank, and deleting its
+    row and column changes no other entry, so only live entry counts are kept
+    and no residue is read. If no column is left, the rank is known. Else the
+    residues of the columns left are read at the rows left, and each step
+    takes the Markowitz pivot (r, c): c is the shortest live column, from
     one heap of (length, column) built here and pushed whenever a column
     changes, and r is its shortest row. Column c is eliminated from the
     columns meeting row r in Python ints, fill kept, and row r and column c
     are deleted. A column left with one entry comes off the heap before any
     longer one, with fill bound 0; any pivot order is exact. Once the fill
     bound (r-1)(c-1) is above _DENSE_FILL_SHARE of the live cells, the rest
-    goes to `_dense_rank_mod`, called once, on 0x0 too.
+    goes to `_dense_rank_mod`. Every return calls it exactly once, on 0x0
+    when nothing is left, so its calls count the blocks.
     """
+    if len(block_cols) == 1 or (len(block_rows) == 1 and block_cols):
+        return 1 + _dense_rank_mod(np.zeros((0, 0), dtype=np.int64), p)
     live_c = {c: ptr[c + 1] - ptr[c] for c in block_cols}
     live_r = {r: len(cs) for r, cs in block_rows.items()}
     col_stack = [c for c, n in live_c.items() if n == 1]
@@ -533,6 +545,8 @@ def _sparse_rank_mod(block_cols: list[int], block_rows: dict[int, list[int]],
                     elif not n:
                         del live_r[i]
         rank += 1
+    if not live_c:
+        return rank + _dense_rank_mod(np.zeros((0, 0), dtype=np.int64), p)
     row_cols = {r: {c for c in block_rows[r] if c in live_c} for r in live_r}
     cols = {c: {r: v for r, v in zip(idx[ptr[c]:ptr[c + 1]], val[ptr[c]:ptr[c + 1]])
                 if r in live_r} for c in live_c}
@@ -792,8 +806,15 @@ class KoszulComplex:
 
     # -- assembly -------------------------------------------------------------
 
-    def differential_matrix(self, p: int, k: int) -> SparseMatrix:
-        """The map wedge^p (x) A_k -> wedge^{p-1} (x) A_{k+d} as residues."""
+    def differential_matrix(self, p: int, k: int, *,
+                            mask: Sequence[int] | None = None) -> SparseMatrix:
+        """The map wedge^p (x) A_k -> wedge^{p-1} (x) A_{k+d} as residues.
+
+        With `mask`, one entry per column, the columns where it is 0 are left
+        empty; the shape and every other column are those of the whole
+        differential. `_rank` passes the orbit weights, which `rank` reads
+        only where they are nonzero; every other caller gets the whole map.
+        """
         p, k = _as_int(p, "p"), _as_int(k, "coefficient degree")
         mod = self.field.modulus
         n_src, rows = self._dim(p, k), self._dim(p - 1, k + self.d)
@@ -801,9 +822,11 @@ class KoszulComplex:
             # a zero map has no entries, so the entry budget does not bound its columns
             return SparseMatrix(rows, n_src, mod, [0] * (n_src + 1), [], [])
         self._budget_check(p, k)
+        if mask is not None and len(mask) != n_src:
+            raise ParameterError(f"a mask of {len(mask)} entries for d_{p} of {n_src} columns")
         if n_src * p < _ARRAY_PATH_MIN_ENTRIES:
-            return SparseMatrix(rows, n_src, mod, *self._columns_by_loop(p, k))
-        return SparseMatrix(rows, n_src, mod, *self._columns_by_arrays(p, k))
+            return SparseMatrix(rows, n_src, mod, *self._columns_by_loop(p, k, mask))
+        return SparseMatrix(rows, n_src, mod, *self._columns_by_arrays(p, k, mask))
 
     def _table(self, k: int) -> _ProductTable:
         table = self._tables.get(k)
@@ -851,8 +874,10 @@ class KoszulComplex:
 
     # -- the per-column loop: small differentials, and the referee --------------
 
-    def _columns_by_loop(self, p: int, k: int) -> tuple[list[int], list[int], list[int]]:
-        """The columns of d_p as (ptr, idx, val), one column at a time.
+    def _columns_by_loop(self, p: int, k: int, mask: Sequence[int] | None = None
+                         ) -> tuple[list[int], list[int], list[int]]:
+        """The columns of d_p as (ptr, idx, val), one column at a time, those
+        where `mask` is 0 left empty.
 
         Each column removes the wedge factors from last to first: removing a
         later factor gives a smaller sub-wedge, and a product's targets
@@ -861,21 +886,26 @@ class KoszulComplex:
         """
         mod = self.field.modulus
         table = self._table(k)
+        keep = itertools.repeat(True) if mask is None else iter(mask)
         ptr, idx, val = [0], [], []
         for combo in wedge_basis(self.num_generators, p):
             removals = table.removals(combo)
             for j in range(table.n_src):
-                for base, terms, odd in removals:
-                    for res, tj in terms[j]:
-                        idx.append(base + tj)
-                        val.append(mod - res if odd else res)
+                if next(keep):
+                    for base, terms, odd in removals:
+                        for res, tj in terms[j]:
+                            idx.append(base + tj)
+                            val.append(mod - res if odd else res)
                 ptr.append(len(idx))
         return ptr, idx, val
 
     # -- the array path ------------------------------------------------------------
 
-    def _columns_by_arrays(self, p: int, k: int) -> tuple[list[int], list[int], list[int]]:
-        """The columns of d_p as (ptr, idx, val), gathered from the product table in numpy.
+    def _columns_by_arrays(self, p: int, k: int, mask: Sequence[int] | None = None
+                           ) -> tuple[list[int], list[int], list[int]]:
+        """The columns of d_p as (ptr, idx, val), gathered from the product table
+        in numpy, those where `mask` is 0 left empty: their cells are zeroed
+        before the entries are listed.
 
         For each chunk of wedges, one (wedge, coefficient, position, term)
         array holds the product residues with the wedge positions reversed:
@@ -894,6 +924,7 @@ class KoszulComplex:
         all_combos = _colex_array(nb, p)
         binom = _binomial_table(nb, p)
         counts = np.zeros(len(all_combos) * n_src_c + 1, dtype=np.int64)
+        dropped = None if mask is None else np.logical_not(mask).reshape(-1, n_src_c)
         idx: list[int] = []
         val: list[int] = []
         # position t' of the reversed wedge removes factor t = p-1-t', sign (-1)^t
@@ -905,6 +936,8 @@ class KoszulComplex:
             reversed_combos = combos[:, ::-1]
             sub_rows = _sub_wedge_ranks(combos, binom)[:, ::-1] * table.n_dst
             cells = res[reversed_combos[:, None, :], coeff_index]
+            if dropped is not None:
+                cells[dropped[w0:w0 + step]] = 0
             flat = np.flatnonzero(cells)
             slot, rest = flat % width, flat // width
             pos, col = rest % p, rest // p
@@ -929,12 +962,18 @@ class KoszulComplex:
         return self._dim(p, k) > 0 and self._dim(p - 1, k + self.d) > 0
 
     def _rank(self, p: int, k: int, mat: SparseMatrix | None = None) -> int:
+        """Rank of d_p leaving wedge^p (x) A_k, cached per (p, k): on a
+        multigraded algebra, weight times rank over the blocks of the columns
+        of nonzero orbit weight. `mat` is the whole d_p when the chain check
+        has just assembled it; otherwise the weights are listed first and d_p
+        is assembled on those columns alone, the mask `rank` would apply anyway.
+        """
         if not self._nontrivial(p, k):
             return 0
         if (p, k) not in self._raw_ranks:
-            if mat is None:
-                mat = self.differential_matrix(p, k)
             weights = self._weights(p, k) if self.algebra.multigraded else None
+            if mat is None:
+                mat = self.differential_matrix(p, k, mask=weights)
             self._raw_ranks[p, k] = mat.rank(weights)
         return self._raw_ranks[p, k]
 

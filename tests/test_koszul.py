@@ -257,6 +257,7 @@ class TestPrimeField:
     lambda: SparseMatrix.from_triplets(3, 2, 5, [(0, 0, 1)]).solve_consistent({0: 1.5}),
     lambda: SparseMatrix.from_triplets(3, 2, 5, [(0, 0, 1), (1, 1, 2)]).rank([1.5, 1]),
     lambda: SparseMatrix.from_triplets(3, 2, 5, [(0, 0, 1), (1, 1, 2)]).rank([1, "2"]),
+    lambda: SparseMatrix.from_triplets(2, 2, 7, [(0, 0, 1)]).rank([1, 1.5]),
     lambda: KoszulComplex(TruncatedRing(2, 3), b=0.5).kpq_dim(1, 1),
     lambda: KoszulComplex(TruncatedRing(2, 3), entry_budget="x").kpq_dim(1, 1),
     lambda: TruncatedRing(2, 3.0),
@@ -274,6 +275,7 @@ class TestPrimeField:
 ], ids=["float-modulus", "float-field", "float-index", "str-index", "float-value",
         "float-triplet-row", "float-dimension", "apply-float-index", "apply-float-value",
         "solve-float-index", "solve-float-value", "rank-float-weight", "rank-str-weight",
+        "rank-float-weight-of-empty-column",
         "float-b", "str-entry-budget", "ring-float-cap", "ring-float-num-vars",
         "kpq-dim-float-p", "kpq-dim-float-q", "differential-float-p", "cycle-float-p",
         "boundary-float-q", "betti-row-float-p", "unrank-float-rank", "unrank-float-p",
@@ -346,6 +348,11 @@ class TestSparseMatrix:
         for weights in ([-1, 1], [1, -2]):
             with pytest.raises(ParameterError, match="rank weights must be >= 0"):
                 m.rank(weights)
+        # no block holds an empty column, but its weight is checked all the same
+        empty_column = SparseMatrix.from_triplets(2, 2, 7, [(0, 0, 1)])
+        assert empty_column.rank([1, 4]) == 1
+        with pytest.raises(ParameterError, match="rank weights must be >= 0"):
+            empty_column.rank([1, -1])
 
     def test_rank_refuses_weights_that_vary_inside_a_block(self):
         # one block of two columns: its rank read 2 under [1, 2] and 4 under [2, 1]
@@ -612,6 +619,13 @@ class TestDifferential:
         m = cx.differential_matrix(0, 0)
         assert (m.cols, m.nnz) == (1, 0)
 
+    def test_mask_of_the_wrong_length_refused(self):
+        cx = KoszulComplex(TruncatedRing(2, 3))
+        assert cx.differential_matrix(1, 0, mask=[0, 1]).nnz == 1
+        for mask in ([1], [1, 1, 1]):
+            with pytest.raises(ParameterError, match="mask of"):
+                cx.differential_matrix(1, 0, mask=mask)
+
     def test_chain_condition_everywhere(self):
         for ring in (TruncatedRing(2, 3), TruncatedRing(3, 2), TruncatedRing(2, 4)):
             cx = KoszulComplex(ring)
@@ -692,6 +706,30 @@ class TestOrbitRank:
         assert mat.rank(cx._weights(5, 4)) == slow
         assert len(calls) == sorted_components < len(mat._component_split())
 
+    @pytest.mark.parametrize("make", [
+        lambda: KoszulComplex(TruncatedRing(3, 3)),
+        lambda: KoszulComplex(hypersurface_spec(2, 2), d=2),
+    ], ids=["capped", "acm"])
+    def test_only_rank_assembles_masked(self, make, monkeypatch):
+        # the chain check composes whole differentials; a differential
+        # assembled only to be ranked is gathered on its weighted columns
+        cx, calls = make(), []
+        real = KoszulComplex.differential_matrix
+
+        def spy(cx, p, k, **kwargs):
+            calls.append((p, k, kwargs.get("mask")))
+            return real(cx, p, k, **kwargs)
+
+        monkeypatch.setattr(KoszulComplex, "differential_matrix", spy)
+        for q in range(3):
+            cx.betti_row(q, range(cx.num_generators + 1))
+        masked = [(p, k, mask) for p, k, mask in calls if mask is not None]
+        assert len(calls) > len(masked)
+        if cx.algebra.multigraded:
+            assert masked and all(mask == cx._weights(p, k) for p, k, mask in masked)
+        else:
+            assert not masked
+
     def test_acm_blocks_are_not_merged(self, monkeypatch):
         cx = KoszulComplex(hypersurface_spec(2, 2), d=2)
         mat = cx.differential_matrix(2, 2)
@@ -748,7 +786,28 @@ class TestSparseRank:
         if product:  # a product through a thin middle has deficient rank
             inner = data.draw(st.integers(1, 4))
             dense = product_mod(columns(rows, inner), columns(inner, cols), p)
-        assert sparse_of(rows, cols, dense, p).rank() == reference_rank(dense, p)
+        mat = sparse_of(rows, cols, dense, p)
+        with dense_shapes() as shapes:
+            assert mat.rank() == reference_rank(dense, p)
+        # one kernel call per block, whichever return the block takes
+        assert len(shapes) == len(mat._component_split())
+
+    def test_every_return_calls_the_kernel_once(self):
+        # one block per path: a lone column, a lone row, a block that peels
+        # fully, one that nothing peels but Markowitz pivots resolve (the
+        # first one's update cancels an entry, so singletons follow), and one
+        # left dense; the kernel sees a 0x0 residual on every path but the last
+        lone_column = [[1], [2], [3]]
+        lone_row = [[1, 2, 3]]
+        peels = [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
+        markowitz = [[2, 0, 2], [2, 3, 1], [3, 1, 0]]
+        dense = [[1, 2, 3], [4, 5, 6], [7, 8, 10]]
+        for block, shape in ((lone_column, (0, 0)), (lone_row, (0, 0)), (peels, (0, 0)),
+                             (markowitz, (0, 0)), (dense, (3, 3))):
+            with dense_shapes() as shapes:
+                rank = sparse_of(len(block), len(block[0]), block, 7).rank()
+            assert rank == reference_rank(block, 7)
+            assert shapes == [shape], block
 
     @given(st.sampled_from(EDGE_PRIMES), st.integers(1, 15), st.data())
     @settings(max_examples=60, deadline=None)
@@ -842,7 +901,7 @@ class TestArrayPath:
     """The numpy gather of a differential against the per-column loop, on both sides of the threshold."""
 
     @staticmethod
-    def assert_same_columns(cx, p, k, prime):
+    def assert_same_columns(cx, p, k, prime, mask):
         loop = cx._columns_by_loop(p, k)
         arrays = cx._columns_by_arrays(p, k)
         mat = cx.differential_matrix(p, k)
@@ -856,6 +915,14 @@ class TestArrayPath:
         # the merging constructor rebuilds the same lists: nothing to merge or drop
         again = SparseMatrix.from_triplets(mat.rows, mat.cols, prime, mat.triplets())
         assert (again.ptr, again.idx, again.val) == loop
+        # masked, both gathers give the whole lists with the columns of mask 0 emptied
+        kept = SparseMatrix.from_triplets(mat.rows, mat.cols, prime,
+                                          [(r, c, v) for r, c, v in mat.triplets() if mask[c]])
+        expected = kept.ptr, kept.idx, kept.val
+        assert cx._columns_by_loop(p, k, mask) == cx._columns_by_arrays(p, k, mask) == expected
+        masked = cx.differential_matrix(p, k, mask=mask)
+        assert (masked.rows, masked.cols, masked.ptr, masked.idx, masked.val) == (
+            mat.rows, mat.cols, *expected)
 
     @given(st.integers(1, 3), st.integers(2, 4),
            st.sampled_from([3, 5, DEFAULT_PRIME, SECONDARY_PRIME, LARGEST_PRIME]), st.data())
@@ -869,10 +936,11 @@ class TestArrayPath:
         small = [p for p in range(1, nb + 1)
                  if math.comb(nb, p) * cx.algebra.dim(k) <= 3000]
         p = data.draw(st.sampled_from(small))
-        self.assert_same_columns(cx, p, k, prime)
+        weights = cx._weights(p, k)
+        self.assert_same_columns(cx, p, k, prime, weights)
         expected = [orbit_weight(alpha(cx, p, k, c))
                     for c in range(math.comb(nb, p) * cx.algebra.dim(k))]
-        assert cx._weights(p, k) == expected
+        assert weights == expected
 
     @given(st.permutations(range(7)))
     @settings(max_examples=10, deadline=None)
@@ -913,7 +981,10 @@ class TestArrayPath:
                  if 0 < math.comb(nb, p) * cx.algebra.dim(k) <= 3000
                  and cx.algebra.dim(k + d) > 0]
         p, k = data.draw(st.sampled_from(cases))
-        self.assert_same_columns(cx, p, k, prime)
+        # no orbit weights here: a random mask, which the gathers treat alike
+        pick = random.Random(data.draw(st.integers(0, 2**32), label="mask seed"))
+        mask = [pick.randrange(3) for _ in range(cx._dim(p, k))]
+        self.assert_same_columns(cx, p, k, prime, mask)
         assert not cx.algebra.multigraded
 
     def test_degree_basis_has_dim_elements(self):
