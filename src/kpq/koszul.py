@@ -26,10 +26,11 @@ job, so a per-column loop reads the same table, with the same prefix and
 suffix sums in Python (`_ProductTable.removals`); the tests hold the two
 paths to identical columns. Both write the flat column lists of `SparseMatrix`
 directly, and neither holds a wedge array past its call. Each takes an
-optional column mask, and leaves the columns it masks out empty: `_rank`
-passes the orbit weights (below) when it assembles a differential only to
-rank it. The chain check, `is_boundary`, `--dump-dir` and every caller of
-`differential_matrix` without a mask get the whole differential.
+optional column mask, and leaves the columns it masks out empty, skipping
+every wedge with no kept column: `_rank` passes the orbit weights (below)
+when it assembles a differential only to rank it. The chain check,
+`is_boundary`, `--dump-dir` and every caller of `differential_matrix`
+without a mask get the whole differential.
 
 All linear algebra is exact over GF(p). Matrices are sparse and decompose
 into blocks, the connected components of their row/column graph (the
@@ -112,6 +113,11 @@ _INT64_MAX = 2**63 - 1
 MAX_MODULUS = math.isqrt(_INT64_MAX) + 1
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# The residual `_sparse_rank_mod` hands the dense kernel when nothing is left;
+# read-only, since every early return shares it.
+_EMPTY_BLOCK = np.zeros((0, 0), dtype=np.int64)
+_EMPTY_BLOCK.flags.writeable = False
 
 
 def _is_prime(m: int) -> bool:
@@ -354,7 +360,7 @@ class SparseMatrix:
         total = 0
         for cols_g, rows_g in self._component_split(itertools.compress(range(self.cols), weights)):
             weight = _as_int(weights[cols_g[0]], "rank weight")
-            if any(weights[c] != weight for c in cols_g):
+            if len(cols_g) > 1 and any(weights[c] != weight for c in cols_g):
                 raise ParameterError(f"rank weights must be constant on a block, "
                                      f"but column {cols_g[0]}'s block mixes weights")
             total += weight * _sparse_rank_mod(cols_g, rows_g, ptr, idx, val, p)
@@ -455,8 +461,11 @@ def _dense_rank_mod(a: np.ndarray, p: int) -> int:
     in [-t * (p-1)^2, p-1]. The trailing block is reduced mod p again every
     (2^63 - 1) // (p-1)^2 pivots, which keeps every value inside int64. For
     32003 and 1000003 that period is above 9 * 10^6 pivots, longer than any
-    block, so no extra reduction runs.
+    block, so no extra reduction runs. An empty block has rank 0 and returns
+    before any of that.
     """
+    if not a.size:
+        return 0
     a %= p
     period = _INT64_MAX // (p - 1) ** 2
     m, n_cols = a.shape
@@ -503,11 +512,12 @@ def _sparse_rank_mod(block_cols: list[int], block_rows: dict[int, list[int]],
     are deleted. A column left with one entry comes off the heap before any
     longer one, with fill bound 0; any pivot order is exact. Once the fill
     bound (r-1)(c-1) is above _DENSE_FILL_SHARE of the live cells, the rest
-    goes to `_dense_rank_mod`. Every return calls it exactly once, on 0x0
-    when nothing is left, so its calls count the blocks.
+    goes to `_dense_rank_mod`. Every return calls it exactly once, on the
+    shared 0x0 `_EMPTY_BLOCK` when nothing is left, so its calls count the
+    blocks.
     """
     if len(block_cols) == 1 or (len(block_rows) == 1 and block_cols):
-        return 1 + _dense_rank_mod(np.zeros((0, 0), dtype=np.int64), p)
+        return 1 + _dense_rank_mod(_EMPTY_BLOCK, p)
     live_c = {c: ptr[c + 1] - ptr[c] for c in block_cols}
     live_r = {r: len(cs) for r, cs in block_rows.items()}
     col_stack = [c for c, n in live_c.items() if n == 1]
@@ -546,7 +556,7 @@ def _sparse_rank_mod(block_cols: list[int], block_rows: dict[int, list[int]],
                         del live_r[i]
         rank += 1
     if not live_c:
-        return rank + _dense_rank_mod(np.zeros((0, 0), dtype=np.int64), p)
+        return rank + _dense_rank_mod(_EMPTY_BLOCK, p)
     row_cols = {r: {c for c in block_rows[r] if c in live_c} for r in live_r}
     cols = {c: {r: v for r, v in zip(idx[ptr[c]:ptr[c + 1]], val[ptr[c]:ptr[c + 1]])
                 if r in live_r} for c in live_c}
@@ -744,11 +754,11 @@ class KoszulComplex:
     """Assembles and eliminates the differentials of one (algebra, b),
     over the one prime field `field`.
 
-    Product tables are cached per coefficient degree, ranks per (p,
-    coefficient degree), and chain-checked cells per (p, q); wedge bases are
-    enumerated afresh on each assembly. `generator_order` optionally permutes
-    the degree-d generator list (dimensions are invariant; used to test
-    exactly that).
+    Product tables are cached per coefficient degree, dimensions and ranks
+    per (p, coefficient degree), and chain-checked cells per (p, q); wedge
+    bases are enumerated afresh on each assembly. `generator_order`
+    optionally permutes the degree-d generator list (dimensions are
+    invariant; used to test exactly that).
     """
 
     def __init__(self, ring_or_spec, d: int | None = None, b: int = 0,
@@ -775,6 +785,7 @@ class KoszulComplex:
         self._tables: dict[int, _ProductTable] = {}
         # basis element -> position in A_k, per k, each built at its first witness
         self._coeff_index: dict[int, dict] = {}
+        self._dims: dict[tuple[int, int], int] = {}
         self._raw_ranks: dict[tuple[int, int], int] = {}
         self._chain_checked: set[tuple[int, int]] = set()
 
@@ -788,8 +799,13 @@ class KoszulComplex:
         return _as_int(q, "q") * self.d + self.b
 
     def _dim(self, p: int, k: int) -> int:
-        """dim wedge^p A_d (x) A_k, for ints p and k: the public methods check them."""
-        return math.comb(self.num_generators, p) * self.algebra.dim(k) if p >= 0 else 0
+        """dim wedge^p A_d (x) A_k, for ints p and k: the public methods check
+        them. Memoised, since a cell asks for the same few about ten times."""
+        dim = self._dims.get((p, k))
+        if dim is None:
+            dim = self._dims[p, k] = (math.comb(self.num_generators, p) * self.algebra.dim(k)
+                                      if p >= 0 else 0)
+        return dim
 
     def middle_dim(self, p: int, q: int) -> int:
         return self._dim(_as_int(p, "p"), self.coeff_degree(q))
@@ -811,8 +827,8 @@ class KoszulComplex:
         """The map wedge^p (x) A_k -> wedge^{p-1} (x) A_{k+d} as residues.
 
         With `mask`, one entry per column, the columns where it is 0 are left
-        empty; the shape and every other column are those of the whole
-        differential. `_rank` passes the orbit weights, which `rank` reads
+        empty, and a wedge with no kept column is not gathered at all; the
+        shape and every other column are those of the whole differential. `_rank` passes the orbit weights, which `rank` reads
         only where they are nonzero; every other caller gets the whole map.
         """
         p, k = _as_int(p, "p"), _as_int(k, "coefficient degree")
@@ -877,7 +893,7 @@ class KoszulComplex:
     def _columns_by_loop(self, p: int, k: int, mask: Sequence[int] | None = None
                          ) -> tuple[list[int], list[int], list[int]]:
         """The columns of d_p as (ptr, idx, val), one column at a time, those
-        where `mask` is 0 left empty.
+        where `mask` is 0 left empty; a wedge with no kept column is skipped.
 
         Each column removes the wedge factors from last to first: removing a
         later factor gives a smaller sub-wedge, and a product's targets
@@ -886,12 +902,18 @@ class KoszulComplex:
         """
         mod = self.field.modulus
         table = self._table(k)
-        keep = itertools.repeat(True) if mask is None else iter(mask)
+        n_src = table.n_src
+        keep = [True] * n_src
         ptr, idx, val = [0], [], []
-        for combo in wedge_basis(self.num_generators, p):
+        for w, combo in enumerate(wedge_basis(self.num_generators, p)):
+            if mask is not None:
+                keep = mask[w * n_src:(w + 1) * n_src]
+                if not any(keep):
+                    ptr += [ptr[-1]] * n_src
+                    continue
             removals = table.removals(combo)
-            for j in range(table.n_src):
-                if next(keep):
+            for j, kept in enumerate(keep):
+                if kept:
                     for base, terms, odd in removals:
                         for res, tj in terms[j]:
                             idx.append(base + tj)
@@ -904,7 +926,8 @@ class KoszulComplex:
     def _columns_by_arrays(self, p: int, k: int, mask: Sequence[int] | None = None
                            ) -> tuple[list[int], list[int], list[int]]:
         """The columns of d_p as (ptr, idx, val), gathered from the product table
-        in numpy, those where `mask` is 0 left empty: their cells are zeroed
+        in numpy, those where `mask` is 0 left empty: only the wedges that keep
+        a column are gathered, and the cells of their masked columns are zeroed
         before the entries are listed.
 
         For each chunk of wedges, one (wedge, coefficient, position, term)
@@ -924,7 +947,13 @@ class KoszulComplex:
         all_combos = _colex_array(nb, p)
         binom = _binomial_table(nb, p)
         counts = np.zeros(len(all_combos) * n_src_c + 1, dtype=np.int64)
-        dropped = None if mask is None else np.logical_not(mask).reshape(-1, n_src_c)
+        # entries per column, one row per wedge: a view of counts past its leading 0
+        per_wedge = counts[1:].reshape(len(all_combos), n_src_c)
+        wedges = dropped = None
+        if mask is not None:
+            kept = np.not_equal(mask, 0).reshape(len(all_combos), n_src_c)
+            wedges = np.flatnonzero(kept.any(axis=1))
+            all_combos, dropped = all_combos[wedges], ~kept[wedges]
         idx: list[int] = []
         val: list[int] = []
         # position t' of the reversed wedge removes factor t = p-1-t', sign (-1)^t
@@ -946,9 +975,9 @@ class KoszulComplex:
             vals = cells.ravel()[flat]
             idx += rows.tolist()
             val += np.where(negate[pos], mod - vals, vals).tolist()
-            start = w0 * n_src_c + 1
-            counts[start:start + len(combos) * n_src_c] = np.bincount(
-                col, minlength=len(combos) * n_src_c)
+            at = slice(w0, w0 + step) if wedges is None else wedges[w0:w0 + step]
+            per_wedge[at] = np.bincount(col, minlength=len(combos) * n_src_c).reshape(
+                len(combos), n_src_c)
         return np.cumsum(counts).tolist(), idx, val
 
     def differential(self, p: int, q: int) -> SparseMatrix:

@@ -564,9 +564,29 @@ class TestSparseMatrix:
 
 
 class TestDenseRank:
-    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0), (0, 5), (5, 0)])
     def test_empty_block(self, shape):
         assert _dense_rank_mod(np.zeros(shape, dtype=np.int64), 5) == 0
+        # an empty block leaves before it is reduced: a read-only one is never written
+        block = np.zeros(shape, dtype=np.int64)
+        block.flags.writeable = False
+        assert _dense_rank_mod(block, 5) == 0
+
+    def test_shared_empty_block_stays_empty(self):
+        # the early returns of `_sparse_rank_mod` all hand the kernel one module-level block
+        empty = []
+        real = koszul._dense_rank_mod
+
+        def spy(block, p):
+            empty.append(block is koszul._EMPTY_BLOCK)
+            return real(block, p)
+
+        cx = KoszulComplex(TruncatedRing(3, 3))
+        with mock.patch.object(koszul, "_dense_rank_mod", spy):
+            for q in range(3):
+                cx.betti_row(q, range(cx.num_generators + 1))
+        assert any(empty)
+        assert koszul._EMPTY_BLOCK.shape == (0, 0) and koszul._EMPTY_BLOCK.dtype == np.int64
 
     @pytest.mark.parametrize("p", [1000000007, LARGEST_PRIME])
     def test_low_rank_product_near_the_cap(self, p):
@@ -618,6 +638,28 @@ class TestDifferential:
         assert (m.rows, m.cols, m.nnz) == (0, 0, 0)
         m = cx.differential_matrix(0, 0)
         assert (m.cols, m.nnz) == (1, 0)
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: KoszulComplex(TruncatedRing(3, 3), generator_order=rng.sample(range(7), 7)),
+        lambda rng: KoszulComplex(hypersurface_spec(2, 3), d=3),
+    ], ids=["capped", "acm"])
+    def test_dim_memo(self, make, monkeypatch):
+        rng = random.Random(23)
+        cx = make(rng)
+        nb, d = cx.num_generators, cx.d
+        top = cx.algebra.ring.top_degree
+        queries = [(p, k) for p in range(-1, nb + 2) for k in range(-d, top + d + 1)]
+        expected = {(p, k): math.comb(nb, p) * cx.algebra.dim(k) if p >= 0 else 0
+                    for p, k in queries}
+        assert any(expected.values()) and not all(expected.values())
+        rng.shuffle(queries)
+        for p, k in queries:  # every query a miss
+            assert cx._dim(p, k) == expected[p, k], (p, k)
+        # every query a hit: the algebra is not asked again
+        monkeypatch.setattr(cx.algebra, "dim", lambda k: pytest.fail(f"dim({k}) recomputed"))
+        rng.shuffle(queries)
+        for p, k in queries:
+            assert cx._dim(p, k) == expected[p, k], (p, k)
 
     def test_mask_of_the_wrong_length_refused(self):
         cx = KoszulComplex(TruncatedRing(2, 3))
@@ -986,6 +1028,53 @@ class TestArrayPath:
         mask = [pick.randrange(3) for _ in range(cx._dim(p, k))]
         self.assert_same_columns(cx, p, k, prime, mask)
         assert not cx.algebra.multigraded
+
+    @given(st.sampled_from([(TruncatedRing(n + 1, d), None) for n in (1, 2, 3) for d in (2, 3, 4)]
+                           + ACM_RINGS),
+           st.sampled_from(["per wedge", "none", "all"]),
+           st.sampled_from([3, DEFAULT_PRIME, LARGEST_PRIME]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_wedge_level_masks(self, ring, kind, prime, data):
+        # masks that zero whole wedges: both gathers skip those, and the loop
+        # takes no sub-wedge ranks for them
+        ring, d = ring
+        cx = KoszulComplex(ring, d=d, field=prime)
+        nb = cx.num_generators
+        if cx.algebra.multigraded:
+            cx = KoszulComplex(ring, field=prime, generator_order=data.draw(st.permutations(range(nb))))
+        cases = [(p, k) for k in range(0, 3 * cx.d + 1) for p in range(1, nb + 1)
+                 if 0 < cx._dim(p, k) <= 3000 and cx._dim(p - 1, k + cx.d) > 0]
+        p, k = data.draw(st.sampled_from(cases))
+        n_src = cx.algebra.dim(k)
+        wedges = wedge_basis(nb, p)
+        if kind == "per wedge":
+            pick = random.Random(data.draw(st.integers(0, 2**32), label="mask seed"))
+            mask = [w if pick.random() < 0.5 else 0 for w in (
+                cx._weights(p, k) if cx.algebra.multigraded else
+                [pick.randrange(3) for _ in range(cx._dim(p, k))])]
+            for w in range(len(wedges)):
+                if pick.random() < 0.3:
+                    mask[w * n_src:(w + 1) * n_src] = [0] * n_src
+        else:
+            mask = [int(kind == "all")] * cx._dim(p, k)
+        self.assert_same_columns(cx, p, k, prime, mask)
+        kept = [combo for w, combo in enumerate(wedges) if any(mask[w * n_src:(w + 1) * n_src])]
+        removed, gathered = [], []
+        real_removals, real_ranks = koszul._ProductTable.removals, koszul._sub_wedge_ranks
+
+        def removals(table, combo):
+            removed.append(combo)
+            return real_removals(table, combo)
+
+        def sub_wedge_ranks(combos, binom):
+            gathered.extend(map(tuple, combos.tolist()))
+            return real_ranks(combos, binom)
+
+        with mock.patch.object(koszul._ProductTable, "removals", removals), \
+                mock.patch.object(koszul, "_sub_wedge_ranks", sub_wedge_ranks):
+            cx._columns_by_loop(p, k, mask)
+            cx._columns_by_arrays(p, k, mask)
+        assert removed == gathered == kept
 
     def test_degree_basis_has_dim_elements(self):
         # the column count comb(nb, p) * dim(k) indexes the basis of A_k
