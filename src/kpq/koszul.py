@@ -18,17 +18,18 @@ product table, built once per coefficient degree k from the algebra's
 A_{k+d}, with repeated labels merged. One with at least
 _ARRAY_PATH_MIN_ENTRIES estimated entries, comb(nb, p) * dim A_k * p, is
 gathered from that table in numpy, a bounded chunk of wedges at a time: the
-ranks of the sub-wedges come from prefix and suffix sums over a binomial
-table, and one `np.flatnonzero` over a (wedge, coefficient, removed
-position, term) array lists the entries in column order, rows ascending.
-Below that size the fixed cost of those numpy calls is more than the whole
-job, so a per-column loop reads the same table, with the same prefix and
-suffix sums in Python (`_ProductTable.removals`); the tests hold the two
-paths to identical columns. Both write the flat column lists of `SparseMatrix`
-directly, and neither holds a wedge array past its call. Each takes an
-optional column mask, and leaves the columns it masks out empty, skipping
-every wedge with no kept column: `_rank` passes the orbit weights (below)
-when it assembles a differential only to rank it. The chain check,
+wedges and the colex ranks of their sub-wedges (prefix and suffix sums over
+a binomial table) come from `_wedge_table`, a bounded memo per (nb, p) that
+every complex in the process shares, and one `np.flatnonzero` over a
+(wedge, coefficient, removed position, term) array lists the entries in
+column order, rows ascending. Below that size the fixed cost of those numpy
+calls is more than the whole job, so a per-column loop reads the same
+table, enumerating the wedges and taking the same prefix and suffix sums in
+Python (`_ProductTable.removals`); the tests hold the two paths to identical
+columns. Both write the flat column lists of `SparseMatrix` directly. Each
+takes an optional column mask, and leaves the columns it masks out empty,
+skipping every wedge with no kept column: `_rank` passes the orbit weights
+(below) when it assembles a differential only to rank it. The chain check,
 `is_boundary`, `--dump-dir` and every caller of `differential_matrix`
 without a mask get the whole differential.
 
@@ -104,6 +105,9 @@ _ARRAY_PATH_MIN_ENTRIES = 400
 # Largest number of (wedge, coefficient, position, term) cells in one chunk
 # of the array path, so its temporaries stay a few MB whatever the matrix.
 _CHUNK_CELLS = 1 << 13
+# Most (nb, p) wedge tables `_wedge_table` keeps: every complex of the rings
+# a sweep visits shares them, and each ring needs at most nb + 1.
+_WEDGE_TABLES = 32
 
 # Markowitz pivots stop once their fill bound (r-1)(c-1) exceeds this share of the live cells.
 _DENSE_FILL_SHARE = 1 / 8
@@ -166,22 +170,6 @@ class PrimeField:
 # ---------------------------------------------------------------------------
 # Wedge bases in colexicographic order
 
-def _colex_array(nb: int, p: int) -> np.ndarray:
-    """The strictly increasing p-tuples of range(nb) in colex order, as a
-    (comb(nb, p), p) array, for 0 <= p <= nb.
-
-    Built one position at a time: the i-tuples with top element t are the
-    (i-1)-tuples below t, a colex prefix of the previous level, followed by t.
-    """
-    combos = np.zeros((1, 0), dtype=np.intp)
-    for i in range(1, p + 1):
-        tops = np.arange(i - 1, nb - p + i)
-        counts = np.array([math.comb(t, i - 1) for t in tops.tolist()])
-        prefix = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        combos = np.column_stack((combos[prefix], np.repeat(tops, counts)))
-    return combos
-
-
 def wedge_basis(nb: int, p: int) -> list[tuple[int, ...]]:
     """Strictly increasing p-tuples of indices into range(nb), in colex order.
 
@@ -219,29 +207,46 @@ def colex_unrank(rank: int, p: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def _binomial_table(nb: int, p: int) -> np.ndarray:
-    """C(c, i) for c < nb and i <= p, with 0 where c - i > nb - p.
+@functools.lru_cache(maxsize=_WEDGE_TABLES)
+def _wedge_table(nb: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The wedges of p of nb generators for the array gather, as two
+    read-only (comb(nb, p), p) arrays, for 1 <= nb and 0 <= p <= nb: the
+    strictly increasing p-tuples of range(nb) in colex order, and the colex
+    rank of each with its t-th element removed. Each is in the narrowest
+    unsigned dtype that holds it, so a reader widens a rank before it scales
+    it.
 
-    Those are the cells `_sub_wedge_ranks` never reads; every cell it reads is
-    at most C(nb, p), so the table fits in int64.
+    The tuples are built one position at a time: the i-tuples with top
+    element t are the (i-1)-tuples below t, a colex prefix of the previous
+    level, followed by t. In a sub-wedge the elements before t keep their
+    position i and add C(c_i, i+1), and those after t move down to i-1 and
+    add C(c_i, i): a prefix and a suffix sum over a binomial table, every
+    cell of which they read has c_i - i at most nb - p and so fits in int64.
+
+    Memoised on (nb, p) alone, for every complex and prime in the process.
+    Worst case: _WEDGE_TABLES entries of comb(nb, p) * p cells per array, at
+    most 8 bytes a cell, where each comb(nb, p) * p is bounded by the entry
+    budget of the differential that asked for it (DEFAULT_ENTRY_BUDGET
+    unless raised). In practice all p of one nb hold nb * 2^(nb-1) cells per
+    array; at nb = 18 (n = 2, d = 5) that is 2.4 M cells, 1 byte each for
+    the tuples and 2 for the ranks, about 7 MB.
     """
-    return np.array([[math.comb(c, i) if c - i <= nb - p else 0 for i in range(p + 1)]
-                     for c in range(nb)], dtype=np.int64)
-
-
-def _sub_wedge_ranks(combos: np.ndarray, binom: np.ndarray) -> np.ndarray:
-    """colex_rank of each combo with its t-th element removed, as a (W, p) array.
-
-    Elements before t keep their position i and add C(c_i, i+1); those after t
-    move down to i-1 and add C(c_i, i). `binom` is `_binomial_table(nb, p)`:
-    every binomial read there has c_i - i at most nb - p.
-    """
-    p = combos.shape[1]
+    combos = np.zeros((1, 0), dtype=np.int64)
+    for i in range(1, p + 1):
+        tops = np.arange(i - 1, nb - p + i)
+        counts = np.array([math.comb(t, i - 1) for t in tops.tolist()])
+        prefix = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        combos = np.column_stack((combos[prefix], np.repeat(tops, counts)))
+    binom = np.array([[math.comb(c, i) if c - i <= nb - p else 0 for i in range(p + 1)]
+                      for c in range(nb)], dtype=np.int64)
     up = binom[combos, np.arange(1, p + 1)]
     down = binom[combos, np.arange(p)]
-    before = np.cumsum(up, axis=1) - up
-    after = np.cumsum(down[:, ::-1], axis=1)[:, ::-1] - down
-    return before + after
+    ranks = (np.cumsum(up, axis=1) - up) + (np.cumsum(down[:, ::-1], axis=1)[:, ::-1] - down)
+    out = (combos.astype(np.min_scalar_type(nb - 1)),
+           ranks.astype(np.min_scalar_type(math.comb(nb, p - 1) - 1 if p else 0)))
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +709,7 @@ class _ProductTable:
 
         The sub-wedge's colex rank is the sum of C(c_i, i+1) over i < t and of
         C(c_i, i) over i > t: one pass takes the first sum down and the second
-        up, as `_sub_wedge_ranks` does over arrays.
+        up, as `_wedge_table` does over arrays.
         """
         p = len(combo)
         up = list(map(math.comb, combo, range(1, p + 1)))
@@ -755,10 +760,12 @@ class KoszulComplex:
     over the one prime field `field`.
 
     Product tables are cached per coefficient degree, dimensions and ranks
-    per (p, coefficient degree), and chain-checked cells per (p, q); wedge
-    bases are enumerated afresh on each assembly. `generator_order`
-    optionally permutes the degree-d generator list (dimensions are
-    invariant; used to test exactly that).
+    per (p, coefficient degree), and chain-checked cells per (p, q). The
+    array gather reads its wedges from the module's `_wedge_table` memo,
+    which holds no residues and is shared with every other complex; the
+    per-column loop enumerates them afresh. `generator_order` optionally
+    permutes the degree-d generator list (dimensions are invariant; used to
+    test exactly that).
     """
 
     def __init__(self, ring_or_spec, d: int | None = None, b: int = 0,
@@ -828,8 +835,9 @@ class KoszulComplex:
 
         With `mask`, one entry per column, the columns where it is 0 are left
         empty, and a wedge with no kept column is not gathered at all; the
-        shape and every other column are those of the whole differential. `_rank` passes the orbit weights, which `rank` reads
-        only where they are nonzero; every other caller gets the whole map.
+        shape and every other column are those of the whole differential.
+        `_rank` passes the orbit weights, which `rank` reads only where they
+        are nonzero; every other caller gets the whole map.
         """
         p, k = _as_int(p, "p"), _as_int(k, "coefficient degree")
         mod = self.field.modulus
@@ -927,8 +935,9 @@ class KoszulComplex:
                            ) -> tuple[list[int], list[int], list[int]]:
         """The columns of d_p as (ptr, idx, val), gathered from the product table
         in numpy, those where `mask` is 0 left empty: only the wedges that keep
-        a column are gathered, and the cells of their masked columns are zeroed
-        before the entries are listed.
+        a column are taken from `_wedge_table`, with their sub-wedge ranks, and
+        the cells of their masked columns are zeroed before the entries are
+        listed.
 
         For each chunk of wedges, one (wedge, coefficient, position, term)
         array holds the product residues with the wedge positions reversed:
@@ -943,27 +952,25 @@ class KoszulComplex:
         table = self._table(k)
         res, tgt = table.arrays()
         n_src_c, width = res.shape[1], res.shape[2]
-        nb = self.num_generators
-        all_combos = _colex_array(nb, p)
-        binom = _binomial_table(nb, p)
-        counts = np.zeros(len(all_combos) * n_src_c + 1, dtype=np.int64)
+        combos, sub_ranks = _wedge_table(self.num_generators, p)
+        counts = np.zeros(len(combos) * n_src_c + 1, dtype=np.int64)
         # entries per column, one row per wedge: a view of counts past its leading 0
-        per_wedge = counts[1:].reshape(len(all_combos), n_src_c)
+        per_wedge = counts[1:].reshape(len(combos), n_src_c)
         wedges = dropped = None
         if mask is not None:
-            kept = np.not_equal(mask, 0).reshape(len(all_combos), n_src_c)
+            kept = np.not_equal(mask, 0).reshape(len(combos), n_src_c)
             wedges = np.flatnonzero(kept.any(axis=1))
-            all_combos, dropped = all_combos[wedges], ~kept[wedges]
+            combos, sub_ranks, dropped = combos[wedges], sub_ranks[wedges], ~kept[wedges]
         idx: list[int] = []
         val: list[int] = []
         # position t' of the reversed wedge removes factor t = p-1-t', sign (-1)^t
         negate = np.arange(p - 1, -1, -1) % 2 == 1
         coeff_index = np.arange(n_src_c)[None, :, None]
         step = max(1, _CHUNK_CELLS // (n_src_c * p * width))
-        for w0 in range(0, len(all_combos), step):
-            combos = all_combos[w0:w0 + step]
-            reversed_combos = combos[:, ::-1]
-            sub_rows = _sub_wedge_ranks(combos, binom)[:, ::-1] * table.n_dst
+        for w0 in range(0, len(combos), step):
+            reversed_combos = combos[w0:w0 + step, ::-1]
+            # the table's ranks are narrow: widened first, so the product cannot wrap
+            sub_rows = sub_ranks[w0:w0 + step, ::-1].astype(np.int64) * table.n_dst
             cells = res[reversed_combos[:, None, :], coeff_index]
             if dropped is not None:
                 cells[dropped[w0:w0 + step]] = 0
@@ -976,8 +983,8 @@ class KoszulComplex:
             idx += rows.tolist()
             val += np.where(negate[pos], mod - vals, vals).tolist()
             at = slice(w0, w0 + step) if wedges is None else wedges[w0:w0 + step]
-            per_wedge[at] = np.bincount(col, minlength=len(combos) * n_src_c).reshape(
-                len(combos), n_src_c)
+            per_wedge[at] = np.bincount(col, minlength=cells.shape[0] * n_src_c).reshape(
+                -1, n_src_c)
         return np.cumsum(counts).tolist(), idx, val
 
     def differential(self, p: int, q: int) -> SparseMatrix:

@@ -315,6 +315,49 @@ class TestWedgeBasis:
         assert list(combo) == sorted(set(combo))
 
 
+class TestWedgeTable:
+    """The memoised wedge rows and sub-wedge ranks of the array gather, checked in plain Python."""
+
+    def test_rows_and_sub_wedge_ranks(self):
+        for nb in range(1, 13):
+            for p in range(nb + 1):
+                combos, sub_ranks = koszul._wedge_table(nb, p)
+                assert combos.shape == sub_ranks.shape == (math.comb(nb, p), p)
+                # the narrowest dtypes: one byte per generator, two per rank once one passes 255
+                assert combos.dtype == np.uint8
+                assert sub_ranks.dtype == (np.uint16 if p and math.comb(nb, p - 1) > 256
+                                           else np.uint8)
+                for w, (row, ranks) in enumerate(zip(combos.tolist(), sub_ranks.tolist())):
+                    combo = colex_unrank(w, p)
+                    assert tuple(row) == combo, (nb, p, w)
+                    assert ranks == [colex_rank(combo[:t] + combo[t + 1:]) for t in range(p)]
+
+    def test_read_only(self):
+        for a in koszul._wedge_table(6, 3):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 1
+            with pytest.raises(ValueError, match="read-only"):
+                a += 1
+
+    def test_memo_is_bounded(self):
+        maxsize = koszul._wedge_table.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize == koszul._WEDGE_TABLES
+
+    def test_complexes_share_the_memo(self):
+        # another b and another prime over the same ring: the second complex's
+        # gathers find every table the first one built
+        ring = TruncatedRing(3, 4)
+        first = KoszulComplex(ring, b=0, field=DEFAULT_PRIME)
+        second = KoszulComplex(ring, b=1, field=SECONDARY_PRIME)
+        koszul._wedge_table.cache_clear()
+        first.kpq_dim(3, 1)
+        built = koszul._wedge_table.cache_info()
+        second.kpq_dim(3, 1)
+        again = koszul._wedge_table.cache_info()
+        assert built.misses == built.currsize == 2 and built.hits == 0
+        assert again.misses == 2 and again.hits == 2
+
+
 class TestSparseMatrix:
     def test_from_triplets_normalizes(self):
         m = SparseMatrix.from_triplets(2, 2, 7, [(0, 0, 5), (0, 0, -5), (1, 1, 9)])
@@ -1035,8 +1078,9 @@ class TestArrayPath:
            st.sampled_from([3, DEFAULT_PRIME, LARGEST_PRIME]), st.data())
     @settings(max_examples=60, deadline=None)
     def test_wedge_level_masks(self, ring, kind, prime, data):
-        # masks that zero whole wedges: both gathers skip those, and the loop
-        # takes no sub-wedge ranks for them
+        # masks that zero whole wedges: both gathers skip those. The loop takes
+        # no sub-wedge ranks for them, and the arrays read no row of the wedge
+        # table for them, which a table poisoned at exactly those rows shows
         ring, d = ring
         cx = KoszulComplex(ring, d=d, field=prime)
         nb = cx.num_generators
@@ -1058,23 +1102,23 @@ class TestArrayPath:
         else:
             mask = [int(kind == "all")] * cx._dim(p, k)
         self.assert_same_columns(cx, p, k, prime, mask)
-        kept = [combo for w, combo in enumerate(wedges) if any(mask[w * n_src:(w + 1) * n_src])]
-        removed, gathered = [], []
-        real_removals, real_ranks = koszul._ProductTable.removals, koszul._sub_wedge_ranks
+        dropped = [not any(mask[w * n_src:(w + 1) * n_src]) for w in range(len(wedges))]
+        removed = []
+        real_removals = koszul._ProductTable.removals
 
         def removals(table, combo):
             removed.append(combo)
             return real_removals(table, combo)
 
-        def sub_wedge_ranks(combos, binom):
-            gathered.extend(map(tuple, combos.tolist()))
-            return real_ranks(combos, binom)
-
-        with mock.patch.object(koszul._ProductTable, "removals", removals), \
-                mock.patch.object(koszul, "_sub_wedge_ranks", sub_wedge_ranks):
-            cx._columns_by_loop(p, k, mask)
-            cx._columns_by_arrays(p, k, mask)
-        assert removed == gathered == kept
+        with mock.patch.object(koszul._ProductTable, "removals", removals):
+            loop = cx._columns_by_loop(p, k, mask)
+        assert removed == [combo for combo, gone in zip(wedges, dropped) if not gone]
+        # a dropped wedge's generators are out of range and its ranks out of
+        # the rows, so a gather that read one would raise or differ
+        combos, sub_ranks = (a.copy() for a in koszul._wedge_table(nb, p))
+        combos[dropped], sub_ranks[dropped] = nb, np.iinfo(sub_ranks.dtype).max
+        with mock.patch.object(koszul, "_wedge_table", lambda *key: (combos, sub_ranks)):
+            assert cx._columns_by_arrays(p, k, mask) == loop
 
     def test_degree_basis_has_dim_elements(self):
         # the column count comb(nb, p) * dim(k) indexes the basis of A_k
