@@ -117,9 +117,7 @@ def _render(payload: dict, cfg: RunConfig) -> str:
             return "\n".join(",".join(str(c) for c in row) for row in payload["_csv"]) + "\n"
         rows = _flatten(_strip_private(payload))
         return "\n".join(f"{k},{v}" for k, v in rows) + "\n"
-    return payload.get("_table", "\n".join(
-        f"{k} = {v}" for k, v in _flatten(_strip_private(payload))
-    ) + "\n")
+    return payload["_table"]
 
 
 def _emit(payload: dict, cfg: RunConfig, out: str | None) -> int:
@@ -530,19 +528,23 @@ def _monotone_sample_base(error_terms: list[Fraction], floor: int) -> int:
     return max(floor, math.ceil(4 * spread) + 1)
 
 
-def _asymptotic_error_terms(n: int, q: int, b: int) -> tuple[list[Fraction], list[Fraction]]:
-    """Exact 1/d-expansions of (lower/leading - 1) and (deficit/leading - 1).
+def _asymptotic_error_terms(n: int, q: int, b: int
+                            ) -> tuple[tuple[Fraction, int, list[Fraction]], ...]:
+    """Exact expansions of the lower endpoint and of the deficit s_d - hi in d.
 
     Valid once d >= q + b + 2, where the leftmost monomial has the stable
     shape x_0^{d-1}..x_{q-1}^{d-1} x_q^{q+b} and both endpoints are
-    polynomials in d. Returned lists are coefficients of 1/d, 1/d^2, ...
+    polynomials in d. Each comes as (lead, power, terms), the endpoint being
+    lead * d^power * (1 + sum terms[i] / d^(i+1)).
     """
     qf = math.factorial(q)
     lower = [x / qf for x in _shifted_product_poly(list(range(1, q + 1)))]
     sub = [x / qf for x in _shifted_product_poly([-b - 1 - i for i in range(q)])]
     lo_poly = [a - c for a, c in zip(lower, sub)]
     lo_poly[0] -= q
-    assert lo_poly[q] == 0  # degree-q terms cancel; leading term is d^{q-1}
+    if lo_poly[q]:
+        raise InconsistencyError(f"the lower endpoint at n={n}, q={q}, b={b} has a "
+                                 f"degree-{q} term; its leading term should be d^{q - 1}")
     lead = lo_poly[q - 1]
     lo_terms = [lo_poly[q - 1 - i] / lead for i in range(1, q)]
 
@@ -552,21 +554,27 @@ def _asymptotic_error_terms(n: int, q: int, b: int) -> tuple[list[Fraction], lis
     def_poly[0] -= binom(n + b, q + b) - q + n
     dlead = def_poly[k]
     def_terms = [def_poly[k - i] / dlead for i in range(1, k + 1)]
-    return lo_terms, def_terms
+    return (lead, q - 1, lo_terms), (dlead, k, def_terms)
 
 
 def _sweep_asymptotics_cell(n: int, d: int, primes: list[int], budget: int) -> dict:
+    """Each endpoint of every (q, b) against `asymptotic_coefficients`: its
+    leading term must be that of the exact expansion, each sample's ratio - 1
+    must be the expansion's exact value, and |ratio - 1| must not grow."""
     # d plays no role here beyond the grid shape: the samples below go far
     # beyond any oracle-sized d, using closed forms only.
     cell = {"n": n, "d": d, "checked": 0, "failures": [], "ratios": []}
     for q in range(1, n):
         for b in range(0, 2):
-            lo_terms, def_terms = _asymptotic_error_terms(n, q, b)
+            (lo_lead, lo_power, lo_terms), (def_lead, def_power, def_terms) = \
+                _asymptotic_error_terms(n, q, b)
             floor = max(8, q + b + 2)
             base = max(_monotone_sample_base(lo_terms, floor),
                        _monotone_sample_base(def_terms, floor))
             samples = (base, 2 * base, 4 * base)
             coeffs = _ranges.asymptotic_coefficients(n, q, b)
+            exact = ((coeffs.lower_coeff, coeffs.lower_power, coeffs.deficit_coeff,
+                      coeffs.deficit_power) == (lo_lead, lo_power, def_lead, def_power))
             lo_err, hi_err = [], []
             entry = {"q": q, "b": b, "d_samples": list(samples),
                      "lower_coeff": str(coeffs.lower_coeff),
@@ -580,6 +588,9 @@ def _sweep_asymptotics_cell(n: int, d: int, primes: list[int], budget: int) -> d
                 lo_ratio = Fraction(report.pq.lo) / (coeffs.lower_coeff * dd ** coeffs.lower_power)
                 deficit = s_d - report.pq.hi
                 hi_ratio = Fraction(deficit) / (coeffs.deficit_coeff * dd ** coeffs.deficit_power)
+                exact = exact and all(
+                    ratio - 1 == sum(c / dd ** (i + 1) for i, c in enumerate(terms))
+                    for ratio, terms in ((lo_ratio, lo_terms), (hi_ratio, def_terms)))
                 lo_err.append(abs(lo_ratio - 1))
                 hi_err.append(abs(hi_ratio - 1))
                 entry["lower_ratios"].append(float(lo_ratio))
@@ -587,11 +598,12 @@ def _sweep_asymptotics_cell(n: int, d: int, primes: list[int], budget: int) -> d
             cell["checked"] += 1
             monotone = all(lo_err[i + 1] <= lo_err[i] for i in range(len(lo_err) - 1)) \
                 and all(hi_err[i + 1] <= hi_err[i] for i in range(len(hi_err) - 1))
-            if not monotone:
+            if not (monotone and exact):
                 cell["failures"].append({"q": q, "b": b,
                                          "d_samples": list(samples),
                                          "lower_ratios": entry["lower_ratios"],
-                                         "deficit_ratios": entry["deficit_ratios"]})
+                                         "deficit_ratios": entry["deficit_ratios"],
+                                         "monotone": monotone, "exact": exact})
             cell["ratios"].append(entry)
     return cell
 

@@ -12,68 +12,26 @@ exact. The differential removes one wedge factor at a time and multiplies it
 into the coefficient, with sign (-1)^{i+1} on the i-th factor.
 
 A `KoszulComplex` computes over the one prime field it is built with; a
-second prime takes a second complex. A differential is assembled from a
-product table, built once per coefficient degree k from the algebra's
-`multiply`: generator x basis element of A_k -> residues on the basis of
-A_{k+d}, with repeated labels merged. One with at least
-_ARRAY_PATH_MIN_ENTRIES estimated entries, comb(nb, p) * dim A_k * p, is
-gathered from that table in numpy, a bounded chunk of wedges at a time: the
-wedges and the colex ranks of their sub-wedges (prefix and suffix sums over
-a binomial table) come from `_wedge_table`, a bounded memo per (nb, p) that
-every complex in the process shares, and one `np.flatnonzero` over a
-(wedge, coefficient, removed position, term) array lists the entries in
-column order, rows ascending. Below that size the fixed cost of those numpy
-calls is more than the whole job, so a per-column loop reads the same
-table, enumerating the wedges and taking the same prefix and suffix sums in
-Python (`_ProductTable.removals`); the tests hold the two paths to identical
-columns. Both write the flat column lists of `SparseMatrix` directly. Each
-takes an optional column mask, and leaves the columns it masks out empty,
-skipping every wedge with no kept column: `_rank` passes the orbit weights
-(below) when it assembles a differential only to rank it. The chain check,
-`is_boundary`, `--dump-dir` and every caller of `differential_matrix`
-without a mask get the whole differential.
-
-All linear algebra is exact over GF(p). Matrices are sparse and decompose
-into blocks, the connected components of their row/column graph (the
-complex's internal multigrading). `_component_split` indexes only the
-columns it is given, which must be a union of blocks, and lists each block
-in one walk as its columns and, per row, that row's columns. Each block is
-eliminated sparse-first by `_sparse_rank_mod`, as in structured Gaussian
-elimination: singleton rows and columns are peeled on that pattern alone,
-keeping live entry counts and reading no residue; then the residues of what
-is left are read from the CSC lists and one Markowitz heap picks pivots,
-taken in Python ints while their fill stays small; the residual, nearly
-always empty here, goes to `_dense_rank_mod`, in int64 with delayed
-reduction. `is_cycle` reads d_p v off the product table. `is_boundary`
-alone tests for rows that d_{p+1} leaves untouched (a Veronese witness's row
-never is touched), on the table; only a vector zero on all of them assembles
-d_{p+1} for `solve_consistent`, which ranks the one block a walk from the
-vector's column reaches, with and without it.
-The modulus is capped at MAX_MODULUS, so (p-1)^2 fits in int64, and the
-trailing block is reduced mod p every (2^63 - 1) // (p-1)^2 pivots, so no
-intermediate value ever overflows.
+second prime takes a second complex. All linear algebra is exact over GF(p)
+for every odd prime p up to MAX_MODULUS, the largest modulus for which a
+product of two residues fits in int64.
 
 On the capped ring every basis element (f_1 ^ ... ^ f_p) (x) m has a
 multidegree alpha = f_1 + ... + f_p + m in Z^{n+1}, and the differential
 preserves it. Permuting the variables x_0..x_n maps the alpha-block of a
 differential onto the sigma(alpha)-block by a signed permutation of rows and
-columns, so the two have the same rank over every field. This orbit rule
-is written once, in `KoszulComplex._weights`: each column gets the block
-weight |S_{n+1} . alpha| = (n+1)! / prod(mult!) when alpha is sorted
-(nondecreasing) and 0 otherwise; a wedge's weights come from a memo on its
-gap code, a sum of per-generator codes, so no wedge tuple is built.
-`KoszulComplex._rank` lists them once per differential, gathers only the
-columns of nonzero weight unless the chain check has just assembled the
-whole matrix, and passes them to `SparseMatrix.rank`, which splits only
-those columns (a block's columns share one alpha, so a block holds either
-only those or none of them) and adds up weight times rank over their blocks;
-the matrix itself carries no weight.
-ACM rings have no such grading (the Fermat relation is not multigraded), so
-their ranks take no weights and every block counts once.
+columns, so the two have the same rank over every field. Hence the orbit
+rule: a rank counts the block of each sorted (nondecreasing) alpha
+|S_{n+1} . alpha| times and skips every other block (`KoszulComplex._weights`
+lists the weights, `SparseMatrix.rank` applies them). ACM rings have no such
+grading (the Fermat relation is not multigraded), so there every block
+counts once.
 
-The one chain check is in `kpq_dim`: where it first visits a cell whose two
-differentials are both nontrivial, it checks that they compose to zero and
-ranks those same matrices.
+The one chain check is in `KoszulComplex.kpq_dim`: where it first visits a
+cell whose two differentials are both nontrivial, it checks that they
+compose to zero and ranks those same matrices. How a differential is
+gathered, split and eliminated, and how the element checks read the product
+table, is told at the function that does it.
 """
 
 from __future__ import annotations
@@ -487,9 +445,8 @@ def _dense_rank_mod(a: np.ndarray, p: int) -> int:
         if piv != rank:
             a[piv, c:] = a[rank, c:]  # row `rank` is never read again
         row = (row * pow(int(row[0]), -1, p)) % p
-        if rank + 1 < m:
-            f = a[rank + 1:, c] % p
-            a[rank + 1:, c:] -= f[:, None] * row
+        f = a[rank + 1:, c] % p
+        a[rank + 1:, c:] -= f[:, None] * row
         rank += 1
         if rank % period == 0:
             a[rank:, c + 1:] %= p
@@ -668,8 +625,9 @@ class _ProductTable:
 
     `terms[g][j]` lists (residue, target index) of gens[g] * basis_k[j] on the
     degree-(k+d) basis, with repeated labels merged, zero residues dropped and
-    targets ascending. `arrays()` gives the same table as two (nb, dim A_k, T)
-    arrays, residue and target, padded with residue 0; T is the longest list.
+    targets ascending. `arrays`, built at the first array gather, holds the
+    same table as two (nb, dim A_k, T) arrays, residue and target, padded
+    with residue 0; T is the longest list.
     On a multigraded algebra `coeff_steps` holds the steps m_i - m_{i+1} of
     each m in basis_k, `gap_codes` each generator's gap code, and
     `weights_by_gap` the block weights of a wedge's columns, listed by
@@ -701,15 +659,13 @@ class _ProductTable:
             self.radix = 2 * len(gens) * max((abs(x) for g in gaps for x in g), default=0) + 1
             self.gap_codes = [sum(x * self.radix**i for i, x in enumerate(g)) for g in gaps]
             self.weights_by_gap: dict[int, list[int]] = {}
-        self._arrays: tuple[np.ndarray, np.ndarray] | None = None
 
     def removals(self, combo: tuple[int, ...]) -> list[tuple[int, list, int]]:
         """(first row of combo without combo[t], terms[combo[t]], t % 2) for t from last to
         first: column (combo, j) of d_p holds terms[combo[t]][j] there, negated for odd t.
 
-        The sub-wedge's colex rank is the sum of C(c_i, i+1) over i < t and of
-        C(c_i, i) over i > t: one pass takes the first sum down and the second
-        up, as `_wedge_table` does over arrays.
+        The sub-wedge ranks are the prefix and suffix sums of `_wedge_table`,
+        taken in one pass over the wedge.
         """
         p = len(combo)
         up = list(map(math.comb, combo, range(1, p + 1)))
@@ -730,14 +686,13 @@ class _ProductTable:
                 out[t].add(g)
         return out
 
+    @functools.cached_property
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._arrays is None:
-            width = max((len(t) for row in self.terms for t in row), default=0) or 1
-            pad = [(0, 0)] * width
-            table = np.array([[(terms + pad)[:width] for terms in row] for row in self.terms],
-                             dtype=np.int64).reshape(len(self.terms), self.n_src, width, 2)
-            self._arrays = (table[..., 0].copy(), table[..., 1].copy())
-        return self._arrays
+        width = max((len(t) for row in self.terms for t in row), default=0) or 1
+        pad = [(0, 0)] * width
+        table = np.array([[(terms + pad)[:width] for terms in row] for row in self.terms],
+                         dtype=np.int64).reshape(len(self.terms), self.n_src, width, 2)
+        return table[..., 0].copy(), table[..., 1].copy()
 
 
 def _algebra_for(ring_or_spec, d: int | None):
@@ -760,12 +715,9 @@ class KoszulComplex:
     over the one prime field `field`.
 
     Product tables are cached per coefficient degree, dimensions and ranks
-    per (p, coefficient degree), and chain-checked cells per (p, q). The
-    array gather reads its wedges from the module's `_wedge_table` memo,
-    which holds no residues and is shared with every other complex; the
-    per-column loop enumerates them afresh. `generator_order` optionally
-    permutes the degree-d generator list (dimensions are invariant; used to
-    test exactly that).
+    per (p, coefficient degree), and chain-checked cells per (p, q).
+    `generator_order` optionally permutes the degree-d generator list
+    (dimensions are invariant; used to test exactly that).
     """
 
     def __init__(self, ring_or_spec, d: int | None = None, b: int = 0,
@@ -900,8 +852,8 @@ class KoszulComplex:
 
     def _columns_by_loop(self, p: int, k: int, mask: Sequence[int] | None = None
                          ) -> tuple[list[int], list[int], list[int]]:
-        """The columns of d_p as (ptr, idx, val), one column at a time, those
-        where `mask` is 0 left empty; a wedge with no kept column is skipped.
+        """The columns of d_p as (ptr, idx, val), one column at a time, with
+        `mask` as in `differential_matrix`.
 
         Each column removes the wedge factors from last to first: removing a
         later factor gives a smaller sub-wedge, and a product's targets
@@ -934,10 +886,9 @@ class KoszulComplex:
     def _columns_by_arrays(self, p: int, k: int, mask: Sequence[int] | None = None
                            ) -> tuple[list[int], list[int], list[int]]:
         """The columns of d_p as (ptr, idx, val), gathered from the product table
-        in numpy, those where `mask` is 0 left empty: only the wedges that keep
-        a column are taken from `_wedge_table`, with their sub-wedge ranks, and
-        the cells of their masked columns are zeroed before the entries are
-        listed.
+        in numpy, with `mask` as in `differential_matrix`: only the wedges that
+        keep a column are taken from `_wedge_table`, and the cells of their
+        masked columns are zeroed before the entries are listed.
 
         For each chunk of wedges, one (wedge, coefficient, position, term)
         array holds the product residues with the wedge positions reversed:
@@ -950,7 +901,7 @@ class KoszulComplex:
         """
         mod = self.field.modulus
         table = self._table(k)
-        res, tgt = table.arrays()
+        res, tgt = table.arrays
         n_src_c, width = res.shape[1], res.shape[2]
         combos, sub_ranks = _wedge_table(self.num_generators, p)
         counts = np.zeros(len(combos) * n_src_c + 1, dtype=np.int64)
@@ -1080,15 +1031,9 @@ class KoszulComplex:
             raise ParameterError(f"factor {exc.args[0]} is not a degree-d generator") from exc
         if len(set(idx)) != len(idx):
             raise ParameterError("wedge factors repeat: the witness element is zero")
-        order = sorted(range(len(idx)), key=idx.__getitem__)
-        inversions = sum(
-            1 for i in range(len(order)) for j in range(i + 1, len(order))
-            if order[i] > order[j]
-        )
-        combo = tuple(sorted(idx))
-        pos = colex_rank(combo) * len(coeff_pos) + coeff_pos[coeff_label]
-        sign = -1 if inversions % 2 else 1
-        return {pos: sign}, len(idx), q
+        inversions = sum(a > b for a, b in itertools.combinations(idx, 2))
+        pos = colex_rank(sorted(idx)) * len(coeff_pos) + coeff_pos[coeff_label]
+        return {pos: -1 if inversions % 2 else 1}, len(idx), q
 
     def _coerce_element(self, element, p: int, q: int) -> tuple[dict[int, int], int, int]:
         """The element as {index: coefficient}, with p and k = q*d + b as ints."""

@@ -258,9 +258,8 @@ def acm_range_report(spec: _acm.ACMSpec, d: int, b: int, q: int) -> ACMRangeRepo
     """acm_range plus the enumerated witness-set sizes behind it."""
     d, b, q = _check_acm_window(spec, d, b, q)
     pq = acm_range(spec, d, b, q)
-    improved = None
-    if 1 <= q <= spec.n - 1:
-        improved = acm_range_improved(spec, d, b, q)
+    refined_lo = _witness.acm_e_bounds(spec, d, q, b)[1]
+    improved = None if refined_lo is None else PQRange(refined_lo, pq.hi)
     inv = _acm.invariants(spec, d)
     eset = _witness.acm_e_set(spec, d, q, b)
     zset = _witness.acm_zero_set(spec, d, q, b)

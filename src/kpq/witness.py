@@ -243,7 +243,6 @@ def verify_certificate(w: WitnessCycle) -> CertificateReport:
         zset = acm_zero_set(spec, d, q, b).monomials
         dset = acm_e_set(spec, d, q, b).monomials
         sufficient = d >= b + q + spec.c + 1
-        cap_ok = all(e < d for e in f.exponents)
     else:
         n, d, b, q = params.n, params.d, params.b, params.q
         ring = TruncatedRing(n + 1, d)
@@ -251,7 +250,6 @@ def verify_certificate(w: WitnessCycle) -> CertificateReport:
         zset = zero_set(f, ring)
         dset = divisor_set(f, ring)
         sufficient = None
-        cap_ok = all(e < d for e in f.exponents)
 
     factor_set = set(w.factors)
     zkeys = set(zset)
@@ -272,7 +270,7 @@ def verify_certificate(w: WitnessCycle) -> CertificateReport:
         ),
         CertificateCheck(
             "coefficient_matches_and_nonzero",
-            w.coefficient == f and cap_ok,
+            w.coefficient == f and all(e < d for e in f.exponents),
             f"expected {f}",
         ),
         CertificateCheck(

@@ -1,13 +1,15 @@
 import contextlib
+import dataclasses
 import io
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kpq.acm import hypersurface_spec, save_spec, spec_to_json
-from kpq import cli
+from kpq import cli, witness
 from kpq.cli import main, parse_grid
 from kpq.combinatorics import TruncatedRing
 from kpq.errors import ParameterError
@@ -132,6 +134,31 @@ class TestWitnessCommand:
         assert doc["oracle"]["is_cycle"] is True
         assert doc["oracle"]["is_boundary"] is False
         assert doc["oracle"]["prime"] == 32003
+
+    def test_failed_certificate_exits_4(self, capsys, monkeypatch):
+        failing = witness.CertificateReport(
+            checks=(witness.CertificateCheck("factors_distinct", False, "stub"),))
+        monkeypatch.setattr(witness, "verify_certificate", lambda w: failing)
+        argv = ("witness", "--n", "1", "--d", "3", "--q", "1", "--p", "2", "--verify",
+                "exhaustive")
+        code, out, _ = run(capsys, *argv)
+        # the oracle is not asked once the certificate has failed
+        assert code == 4
+        assert json.loads(out)["certificate"] == {
+            "verdict": False, "checks": {"factors_distinct": False}}
+        assert "oracle" not in json.loads(out)
+        code, out, _ = run(capsys, *argv, "--format", "table")
+        assert code == 4
+        assert "certificate: FAIL" in out and "  factors_distinct: FAIL (stub)" in out
+
+    def test_oracle_disagreement_exits_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(KoszulComplex, "is_boundary", lambda cx, element, p, q: True)
+        code, out, _ = run(capsys, "witness", "--n", "1", "--d", "3", "--q", "1",
+                           "--p", "2", "--verify", "exhaustive")
+        doc = json.loads(out)
+        assert code == 4
+        assert doc["certificate"]["verdict"] is True
+        assert doc["oracle"] == {"prime": 32003, "is_cycle": True, "is_boundary": True}
 
     def test_p_outside_interval_exits_2(self, capsys):
         code, _, err = run(capsys, "witness", "--n", "2", "--d", "5", "--q", "2",
@@ -369,6 +396,69 @@ class TestSweepCommand:
         cell = doc["cells"][0]
         assert cell["checked"] > 0
 
+    @pytest.mark.parametrize("field", ["lower_coeff", "deficit_coeff"])
+    @pytest.mark.parametrize("factor", [Fraction(2), Fraction(1, 2), Fraction(11, 10),
+                                        Fraction(9, 10)], ids=str)
+    def test_asymptotics_sweep_sees_a_wrong_leading_coefficient(self, capsys, monkeypatch,
+                                                                field, factor):
+        real = cli._ranges.asymptotic_coefficients
+
+        def scaled(*args):
+            coeffs = real(*args)
+            return dataclasses.replace(coeffs, **{field: getattr(coeffs, field) * factor})
+
+        monkeypatch.setattr(cli._ranges, "asymptotic_coefficients", scaled)
+        code, out, _ = run(capsys, "sweep", "--check", "asymptotics", "--grid", "n=4,d=2")
+        doc = json.loads(out)
+        assert (code, doc["verdict"]) == (4, "fail")
+        assert [(f["q"], f["b"]) for f in doc["failures"]] == [
+            (q, b) for q in (1, 2, 3) for b in (0, 1)]
+        assert not any(f["exact"] for f in doc["failures"])
+
+    def test_asymptotics_sweep_checks_each_sample_against_the_expansion(self, capsys,
+                                                                        monkeypatch):
+        # one more 1/d^k term than the endpoints have: the leading terms still
+        # agree and every ratio still approaches 1, but no sample matches
+        real = cli._asymptotic_error_terms
+
+        def padded(n, q, b):
+            (lead, power, terms), deficit = real(n, q, b)
+            return (lead, power, terms + [Fraction(1)]), deficit
+
+        monkeypatch.setattr(cli, "_asymptotic_error_terms", padded)
+        code, out, _ = run(capsys, "sweep", "--check", "asymptotics", "--grid", "n=4,d=2")
+        doc = json.loads(out)
+        assert (code, len(doc["failures"])) == (4, 6)
+        assert all(f["monotone"] and not f["exact"] for f in doc["failures"])
+
+    def test_asymptotics_sweep_refuses_a_lower_endpoint_of_degree_q(self, capsys,
+                                                                     monkeypatch):
+        # doubling prod (d + s) over positive shifts leaves a d^q term in the lower endpoint
+        real = cli._shifted_product_poly
+        monkeypatch.setattr(cli, "_shifted_product_poly", lambda shifts: (
+            [2 * c for c in real(shifts)] if shifts and shifts[0] > 0 else real(shifts)))
+        code, out, err = run(capsys, "sweep", "--check", "asymptotics", "--grid", "n=4,d=2")
+        assert (code, out) == (4, "")
+        assert err.startswith("inconsistency: the lower endpoint at n=4, q=1, b=0 has a degree-1")
+
+    @pytest.mark.parametrize("check, fake, keys", [
+        ("ranges", lambda cx, p, q: 0, {"dims"}),
+        ("duality", lambda cx, p, q: p, {"dim", "dual_p", "dual_q", "dual_b", "dual_dim"}),
+        ("shift", lambda cx, p, q: cx.b, {"dim", "shifted_dim"}),
+    ])
+    def test_oracle_disagreement_fails_the_sweep(self, capsys, monkeypatch, check, fake, keys):
+        monkeypatch.setattr(KoszulComplex, "kpq_dim", fake)
+        argv = ("sweep", "--check", check, "--grid", "n=1,d=3")
+        code, out, _ = run(capsys, *argv)
+        doc = json.loads(out)
+        assert (code, doc["verdict"]) == (4, "fail")
+        assert doc["failures"]
+        assert all(set(f) == {"n", "d", "b", "q", "p", *keys} for f in doc["failures"])
+        code, out, _ = run(capsys, *argv, "--format", "table")
+        fails = [line for line in out.splitlines() if line.startswith("  FAIL {")]
+        assert code == 4 and len(fails) == min(20, len(doc["failures"]))
+        assert f"failures: {len(doc['failures'])};" in out
+
     @pytest.mark.parametrize("golden, argv", [
         ("sweep_ranges_n2_d5_budget2000.json",
          ["--check", "ranges", "--grid", "n=2,d<=5", "--budget", "2000",
@@ -483,6 +573,7 @@ BAD_SPECS = {
     "entry-type": lambda doc: doc["table"].__setitem__(0, [0, 0]),
     "index-range": lambda doc: doc["table"][0].update(i=9),
     "relation-no-degree": _relation_without_degree,
+    "lambda-empty": lambda doc: doc.update(**{"lambda": []}),
 }
 
 
@@ -580,6 +671,21 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error: n must be >= 1")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("betti", "--n", "1", "--d", "2", "--budget", "0"), "size budget must be positive"),
+        (("range", "--n", "2", "--d", "3"), "range needs --q"),
+        (("betti", "--n", "1", "--d", "3", "--q-range", "3:1"), "--q-range has lo > hi"),
+        (("betti", "--acm", "{spec}"), "betti over an ACM spec needs --d"),
+        (("sweep", "--check", "ranges", "--grid", ";"), "grid ';' is empty"),
+    ], ids=["budget-0", "range-without-q", "q-range-reversed", "acm-betti-without-d",
+            "grid-of-empty-clauses"])
+    def test_refused_argv_exits_2(self, capsys, tmp_path, argv, message):
+        spec = tmp_path / "quadric.json"
+        save_spec(hypersurface_spec(2, 3), str(spec))
+        code, out, err = run(capsys, *(a.format(spec=spec) for a in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}")
 
     @pytest.mark.parametrize("option", ["--out", "--dump-dir"])
     def test_unwritable_output_path_exits_2(self, capsys, tmp_path, option):

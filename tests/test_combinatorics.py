@@ -133,6 +133,8 @@ class TestArithmetic:
             annihilates(Monomial((1, 0)), socle, ring)
         assert divides(Monomial((1, 2, 0)), Monomial((2, 2, 1)))
         assert not divides(Monomial((1, 2, 0)), Monomial((2, 1, 1)))
+        with pytest.raises(ParameterError, match="arity"):
+            divides(Monomial((1, 0)), socle)
 
     def test_negative_exponents_rejected(self):
         with pytest.raises(ParameterError):

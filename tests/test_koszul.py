@@ -286,6 +286,21 @@ def test_non_integer_inputs_refused(call):
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: KoszulComplex(TruncatedRing(2, 3), d=4), "d=4 conflicts with ring cap 3"),
+    (lambda: KoszulComplex(hypersurface_spec(2, 3)), "an ACM spec needs an explicit d"),
+    (lambda: KoszulComplex(hypersurface_spec(2, 3), d=1), "d must be >= 2, got 1"),
+    (lambda: KoszulComplex((3, 3)), "expected a TruncatedRing or ACMSpec"),
+    (lambda: KoszulComplex(TruncatedRing(3, 1)), "cap must be >= 2"),
+    (lambda: KoszulComplex(TruncatedRing(2, 3)).element_from_witness({0: 1}),
+     "expected a WitnessCycle"),
+], ids=["d-conflicts-with-cap", "acm-without-d", "acm-d-1", "ring-of-wrong-type", "cap-1",
+        "element-from-dict"])
+def test_unusable_complex_inputs_refused(call, message):
+    with pytest.raises(ParameterError, match=message):
+        call()
+
+
 class TestWedgeBasis:
     def test_colex_order(self):
         assert wedge_basis(4, 2) == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
@@ -1144,7 +1159,7 @@ class TestArrayPath:
 
         table = koszul._ProductTable(["g"], Stub(), 0, 7)
         assert table.terms == [[[(1, 0), (5, 1)], [(5, 1)]]]
-        res, tgt = table.arrays()
+        res, tgt = table.arrays
         assert res.tolist() == [[[1, 5], [5, 0]]]
         assert tgt.tolist() == [[[0, 1], [1, 0]]]
 
@@ -1695,3 +1710,15 @@ class TestChainCheck:
         self.negate_one_entry(monkeypatch, 2, pick)
         with pytest.raises(InconsistencyError, match="chain condition failed at p=2, q=1"):
             KoszulComplex(TruncatedRing(3, 3)).kpq_dim(2, 1)
+
+
+def test_overcounted_rank_reports_a_negative_dimension(monkeypatch, capsys):
+    real = KoszulComplex._rank
+    monkeypatch.setattr(KoszulComplex, "_rank",
+                        lambda cx, p, k, mat=None: real(cx, p, k, mat) + 100)
+    with pytest.raises(InconsistencyError,
+                       match=r"negative homology dimension -\d+ at p=2, q=1"):
+        KoszulComplex(TruncatedRing(3, 3)).kpq_dim(2, 1)
+    code = main(["betti", "--n", "2", "--d", "3", "--q-range", "1:1", "--p-range", "2:2"])
+    assert code == 4
+    assert "negative homology dimension" in capsys.readouterr().err

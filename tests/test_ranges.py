@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from kpq import witness
 from kpq.acm import hypersurface_spec, veronese_spec
+from kpq.cli import main
 from kpq.combinatorics import binom
-from kpq.errors import InadmissibleWeightError, ParameterError
+from kpq.errors import InadmissibleWeightError, InconsistencyError, ParameterError
 from kpq.ranges import (
     PQRange,
     VeroneseParams,
@@ -46,6 +48,8 @@ class TestNormalize:
             VeroneseParams(n=1, d=3, b=3, q=1)
         with pytest.raises(ParameterError):
             VeroneseParams(n=1, d=3, b=-1, q=1)
+        with pytest.raises(ParameterError, match="d must be >= 2, got 1"):
+            VeroneseParams(n=1, d=1, b=0, q=0)
 
 
 class TestPQRange:
@@ -292,3 +296,23 @@ def test_non_integer_parameters_refused(call):
     # returned a non-integer p'
     with pytest.raises(ParameterError, match="must be an integer"):
         call()
+
+
+class TestClosedFormAlarms:
+    """veronese_range_report cross-checks the closed forms; a wrong one is an
+    inconsistency, exit 4 on the command line."""
+
+    def test_nonempty_interval_past_the_top_degree(self, monkeypatch):
+        monkeypatch.setattr(witness, "closed_forms", lambda n, d, m, r: (0, 5))
+        with pytest.raises(InconsistencyError, match=r"past the top degree, got \[0, 5\]"):
+            veronese_range_report(VeroneseParams(2, 2, 0, 2))
+
+    def test_closed_forms_that_disagree_with_the_counts(self, monkeypatch, capsys):
+        real = witness.closed_forms
+        monkeypatch.setattr(witness, "closed_forms",
+                            lambda *args: (real(*args)[0] + 1, real(*args)[1]))
+        with pytest.raises(InconsistencyError, match=r"closed-form endpoints \[14, 18\] "
+                                                     r"disagree with counting forms \[13, 18\]"):
+            veronese_range_report(normalize(2, 5, 0, 2))
+        assert main(["range", "--n", "2", "--d", "5", "--q", "2"]) == 4
+        assert capsys.readouterr().err.startswith("inconsistency: closed-form endpoints")

@@ -37,6 +37,12 @@ class TestLeftmostMonomial:
     def test_past_top_degree(self):
         with pytest.raises(ParameterError):
             leftmost_monomial(1, 2, 2, 0)
+        with pytest.raises(ParameterError, match="no witness monomial of degree 4"):
+            count_formulas(1, 2, 2, 0)
+
+    def test_negative_degree(self):
+        with pytest.raises(ParameterError, match=r"q\*d \+ b = -1 is negative"):
+            leftmost_monomial(1, 3, 0, -1)
 
 
 class TestWitnessSets:
