@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 
 from .combinatorics import (
-    Monomial, TruncatedRing, _monomials, binom, mixed_cap_dim, truncated_dim,
+    Monomial, TruncatedRing, _monomials, binom, truncated_dim,
 )
 from .errors import ACMSpecError, ParameterError
 
@@ -238,23 +238,6 @@ def reduce_product(a: ACMMonomial, b: ACMMonomial, spec: ACMSpec, cap: int) -> l
             continue
         out.append((coeff, ACMMonomial(total, lam)))
     return out
-
-
-def fermat_A_dims(spec: ACMSpec, q: int, b: int, d: int) -> tuple[tuple[int, ...], int]:
-    """Witness divisor-set size |E_f| as a sum of graded dimensions.
-
-    With f = x_0^{d-1} ... x_{q-1}^{d-1} x_q^{q+b}, the x-parts of E_f elements
-    of Lambda-degree k are exactly the degree-(d-k) monomials of
-    A = k[x_0..x_q]/(x_0^d, ..., x_{q-1}^d, x_q^{q+b+1}). Returns the per-Lambda
-    dimensions (in lambda_degrees order) and their sum.
-    """
-    if q < 0 or q > spec.n:
-        raise ParameterError(f"q must be in [0, {spec.n}], got {q}")
-    if b < 0:
-        raise ParameterError(f"b must be >= 0, got {b}")
-    caps = (d,) * q + (q + b + 1,)
-    dims = tuple(mixed_cap_dim(caps, d - k) for k in spec.lambda_degrees)
-    return dims, sum(dims)
 
 
 def basis(spec: ACMSpec, d: int, k: int) -> list[ACMMonomial]:

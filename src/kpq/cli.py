@@ -175,33 +175,33 @@ def _veronese_range_payload(n: int, d: int, b: int, q: int) -> dict:
 
 def _acm_range_payload(spec: _acm.ACMSpec, d: int, b: int, q: int) -> dict:
     report = _ranges.acm_range_report(spec, d, b, q)
-    inv = report.invariants
+    inv, pq, witness = report.invariants, report.pq, report.witness_interval
     payload = {
         "kind": "range",
         "ring": "acm",
-        "spec_name": report.spec_name,
-        "deg_x": report.deg_x, "n": report.n, "c": report.c,
+        "spec_name": spec.name,
+        "deg_x": spec.deg_x, "n": spec.n, "c": spec.c,
         "d": d, "b": b, "q": q,
-        "lo": report.pq.lo, "hi": report.pq.hi, "empty": report.pq.empty,
+        "lo": pq.lo, "hi": pq.hi, "empty": pq.empty,
         "r_d": inv.r_d, "r_d_prime": inv.r_d_prime, "r_bar_d": inv.r_bar_d,
-        "e_count": report.e_count,
-        "z_count": report.z_count,
+        "e_count": witness.lo,
+        "z_count": witness.hi,
         "z_complement": report.z_complement,
-        "witness_lo": report.witness_interval.lo,
-        "witness_hi": report.witness_interval.hi,
+        "witness_lo": witness.lo,
+        "witness_hi": witness.hi,
         "method": "weighted witness-set bounds over the free Noether basis",
     }
     if report.improved is not None:
         payload["improved_lo"] = report.improved.lo
         payload["improved_hi"] = report.improved.hi
     lines = [
-        f"nonvanishing interval for K_p,q: [{report.pq.lo}, {report.pq.hi}]"
-        + ("  (empty)" if report.pq.empty else ""),
-        f"spec={report.spec_name} deg_x={report.deg_x} n={report.n} c={report.c} "
+        f"nonvanishing interval for K_p,q: [{pq.lo}, {pq.hi}]"
+        + ("  (empty)" if pq.empty else ""),
+        f"spec={spec.name} deg_x={spec.deg_x} n={spec.n} c={spec.c} "
         f"d={d} b={b} q={q}",
         f"r_d={inv.r_d}  r'_d={inv.r_d_prime}  r_bar_d={inv.r_bar_d}",
-        f"|E_f|={report.e_count}  |Z_f|={report.z_count}  complement={report.z_complement}",
-        f"exact witness interval: [{report.witness_interval.lo}, {report.witness_interval.hi}]",
+        f"|E_f|={witness.lo}  |Z_f|={witness.hi}  complement={report.z_complement}",
+        f"exact witness interval: [{witness.lo}, {witness.hi}]",
     ]
     if report.improved is not None:
         lines.append(f"refined lower endpoint: {report.improved.lo}")
@@ -227,6 +227,8 @@ def cmd_range(args: argparse.Namespace, cfg: RunConfig) -> dict:
         e, m = acm_builtin
         return _acm_range_payload(_acm.hypersurface_spec(e, m), d, b, q)
     if acm_path:
+        if d is None or q is None:
+            raise ParameterError("range needs --d and --q with --acm")
         return _acm_range_payload(_acm.load_spec(acm_path), d, b, q)
     if n is None or d is None:
         raise ParameterError("range needs --n and --d (or --acm/--preset)")

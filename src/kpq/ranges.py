@@ -115,9 +115,9 @@ def veronese_range_report(params: VeroneseParams) -> VeroneseRangeReport:
             f"(the reduced complex has zero coefficient space)"
         )
     n, d, b, q = params.n, params.d, params.b, params.q
-    m, r = quot_rem_by_dm1(q, d, b)
-    lo_closed, hi_closed = _witness.closed_forms(n, d, m, r)
     if q * d + b > (n + 1) * (d - 1):
+        m, r = quot_rem_by_dm1(q, d, b)
+        lo_closed, hi_closed = _witness.closed_forms(n, d, m, r)
         pq = PQRange(lo_closed, hi_closed)
         if not pq.empty:
             raise InconsistencyError(
@@ -132,12 +132,14 @@ def veronese_range_report(params: VeroneseParams) -> VeroneseRangeReport:
     pq = PQRange(counts.divisor_count, counts.annihilator_count)
     if counts.closed_form_asserted and not counts.consistent:
         raise InconsistencyError(
-            f"closed-form endpoints [{lo_closed}, {hi_closed}] disagree with "
+            f"closed-form endpoints [{counts.divisor_closed_form}, "
+            f"{counts.annihilator_closed_form}] disagree with "
             f"counting forms [{pq.lo}, {pq.hi}] at n={n}, d={d}, b={b}, q={q}"
         )
     return VeroneseRangeReport(
-        params=params, m=m, r=r, pq=pq, counts=counts,
-        lo_closed_form=lo_closed, hi_closed_form=hi_closed,
+        params=params, m=counts.m, r=counts.r, pq=pq, counts=counts,
+        lo_closed_form=counts.divisor_closed_form,
+        hi_closed_form=counts.annihilator_closed_form,
         closed_form_asserted=counts.closed_form_asserted,
     )
 
@@ -187,8 +189,10 @@ def dual_params(params: VeroneseParams, p: int) -> DualParams:
 def _check_acm_window(spec: _acm.ACMSpec, d: int, b: int, q: int) -> tuple[int, int, int]:
     """(d, b, q) as ints, once they are known to lie in the window."""
     d, b, q = _as_int(d, "d"), _as_int(b, "b"), _as_int(q, "q")
-    if q < 0 or q > spec.n:
-        raise ParameterError(f"q must lie in [0, {spec.n}], got {q}")
+    if not 1 <= q <= spec.n:
+        raise ParameterError(
+            f"q must lie in [1, {spec.n}] (ACM weights are 1 <= q <= n), got {q}"
+        )
     if b < 0:
         raise ParameterError(f"b must be >= 0, got {b}")
     if d < b + q + spec.c + 1:
@@ -198,6 +202,18 @@ def _check_acm_window(spec: _acm.ACMSpec, d: int, b: int, q: int) -> tuple[int, 
     return d, b, q
 
 
+def _acm_interval(spec: _acm.ACMSpec, d: int, b: int, q: int
+                  ) -> tuple[tuple[int, int, int], _acm.ACMInvariants, PQRange, int | None]:
+    """The window-checked (d, b, q), the invariants at d, the certified
+    interval and its refined lower endpoint (None unless q is in [1, n-1])."""
+    d, b, q = _check_acm_window(spec, d, b, q)
+    n = spec.n
+    inv = _acm.invariants(spec, d)
+    lo, refined = _witness.acm_e_bounds(spec, d, q, b)
+    deficit = spec.deg_x if q == n else spec.deg_x * (d - q - b) * binom(d + n - q - 1, n - q - 1)
+    return (d, b, q), inv, PQRange(lo, inv.r_d_prime - deficit), refined
+
+
 def acm_range(spec: _acm.ACMSpec, d: int, b: int, q: int) -> PQRange:
     """Certified nonvanishing interval for K_{p,q} of the ACM ring at level d.
 
@@ -205,19 +221,9 @@ def acm_range(spec: _acm.ACMSpec, d: int, b: int, q: int) -> PQRange:
       q in [1, n-1]: [deg(X)(q+b+1) C(d+q-1, q-1),
                       r'_d - deg(X)(d-q-b) C(d+n-q-1, n-q-1)]
       q = n:         same lower endpoint, upper r'_d - deg(X)
-      q = 0:         [0, r'_d - (d-b) C(n-1+d, n-1)]
-    Requires d >= b + q + c + 1 and 0 <= q <= n.
+    Requires d >= b + q + c + 1 and 1 <= q <= n.
     """
-    d, b, q = _check_acm_window(spec, d, b, q)
-    n = spec.n
-    inv = _acm.invariants(spec, d)
-    deg_x = spec.deg_x
-    if q == 0:
-        return PQRange(0, inv.r_d_prime - (d - b) * binom(n - 1 + d, n - 1))
-    lo = _witness.acm_e_bounds(spec, d, q, b)[0]
-    if q == n:
-        return PQRange(lo, inv.r_d_prime - deg_x)
-    return PQRange(lo, inv.r_d_prime - deg_x * (d - q - b) * binom(d + n - q - 1, n - q - 1))
+    return _acm_interval(spec, d, b, q)[2]
 
 
 def acm_range_improved(spec: _acm.ACMSpec, d: int, b: int, q: int) -> PQRange:
@@ -228,45 +234,54 @@ def acm_range_improved(spec: _acm.ACMSpec, d: int, b: int, q: int) -> PQRange:
     valid for q in [1, n-1]. With deg(X) = 1 this collapses to the plain
     projective-space lower endpoint.
     """
-    d, b, q = _check_acm_window(spec, d, b, q)
-    if not 1 <= q <= spec.n - 1:
+    _, _, pq, refined = _acm_interval(spec, d, b, q)
+    if refined is None:
         raise ParameterError(
             f"the refined lower endpoint needs q in [1, {spec.n - 1}], got {q}"
         )
-    return PQRange(_witness.acm_e_bounds(spec, d, q, b)[1], acm_range(spec, d, b, q).hi)
+    return PQRange(refined, pq.hi)
 
 
 @dataclass(frozen=True, slots=True)
 class ACMRangeReport:
-    spec_name: str
-    deg_x: int
-    n: int
-    c: int
-    d: int
-    b: int
-    q: int
     pq: PQRange
     improved: PQRange | None
     invariants: _acm.ACMInvariants
-    e_count: int
-    z_count: int
     z_complement: int
     witness_interval: PQRange
 
 
 def acm_range_report(spec: _acm.ACMSpec, d: int, b: int, q: int) -> ACMRangeReport:
-    """acm_range plus the enumerated witness-set sizes behind it."""
-    d, b, q = _check_acm_window(spec, d, b, q)
-    pq = acm_range(spec, d, b, q)
-    refined_lo = _witness.acm_e_bounds(spec, d, q, b)[1]
-    improved = None if refined_lo is None else PQRange(refined_lo, pq.hi)
-    inv = _acm.invariants(spec, d)
+    """acm_range plus the enumerated witness interval [|E_f|, |Z_f|] behind it.
+
+    Every certified p must lie in the witness interval, and the per-Lambda
+    graded dimensions must add up to |E_f|; a report that breaks either is
+    an InconsistencyError.
+    """
+    (d, b, q), inv, pq, refined = _acm_interval(spec, d, b, q)
     eset = _witness.acm_e_set(spec, d, q, b)
     zset = _witness.acm_zero_set(spec, d, q, b)
+    where = f"{spec.name} at d={d}, b={b}, q={q}"
+    if sum(eset.per_lambda_dims) != eset.count:
+        raise InconsistencyError(
+            f"per-Lambda dimensions {list(eset.per_lambda_dims)} do not add up to "
+            f"|E_f| = {eset.count} for {where}"
+        )
+    for name, lo in (("lower endpoint", pq.lo), ("refined lower endpoint", refined)):
+        if lo is not None and eset.count > lo:
+            raise InconsistencyError(
+                f"the {name} {lo} lies below |E_f| = {eset.count}, outside the "
+                f"witness interval, for {where}"
+            )
+    if pq.hi > zset.count:
+        raise InconsistencyError(
+            f"the upper endpoint {pq.hi} lies above |Z_f| = {zset.count}, outside the "
+            f"witness interval, for {where}"
+        )
     return ACMRangeReport(
-        spec_name=spec.name, deg_x=spec.deg_x, n=spec.n, c=spec.c,
-        d=d, b=b, q=q, pq=pq, improved=improved, invariants=inv,
-        e_count=eset.count, z_count=zset.count,
+        pq=pq,
+        improved=None if refined is None else PQRange(refined, pq.hi),
+        invariants=inv,
         z_complement=zset.complement_count,
         witness_interval=PQRange(eset.count, zset.count),
     )

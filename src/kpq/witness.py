@@ -289,22 +289,13 @@ def verify_certificate(w: WitnessCycle) -> CertificateReport:
 class ESetReport:
     """E_f: degree-d basis monomials x^a y^b with x^a dividing f.
 
-    `count` = |E_f|; the two `bound_*` values are the closed-form upper
-    bounds used for range endpoints (the coarse one enters acm_range, the
-    refined one acm_range_improved); both must dominate the count.
+    `count` = |E_f|; `per_lambda_dims` counts the same set by Lambda element
+    as graded dimensions, so its sum must equal `count`.
     """
 
     monomials: tuple[_acm.ACMMonomial, ...]
     count: int
     per_lambda_dims: tuple[int, ...]
-    bound_coarse: int
-    bound_refined: int | None
-
-    @property
-    def bounds_hold(self) -> bool:
-        if self.count > self.bound_coarse:
-            return False
-        return self.bound_refined is None or self.count <= self.bound_refined
 
 
 def acm_e_bounds(spec: _acm.ACMSpec, d: int, q: int, b: int) -> tuple[int, int | None]:
@@ -317,39 +308,32 @@ def acm_e_bounds(spec: _acm.ACMSpec, d: int, q: int, b: int) -> tuple[int, int |
 
 
 def acm_e_set(spec: _acm.ACMSpec, d: int, q: int, b: int) -> ESetReport:
-    """Enumerate E_f for the leftmost f of degree q*d + b, with its size bounds."""
+    """Enumerate E_f for the leftmost f of degree q*d + b, and count it by Lambda element.
+
+    The x-parts of E_f elements of Lambda-degree k are the degree-(d-k)
+    monomials of k[x_0..x_n] with exponents capped at f's exponents + 1.
+    """
     n = spec.n
     f = leftmost_monomial(n, d, q, b)
     out = []
     for g in _acm.basis(spec, d, d):
         if all(a <= c for a, c in zip(g.x_part, f.exponents)):
             out.append(g)
-    m, r = quot_rem_by_dm1(q, d, b)
-    if (m, r) == (q, q + b):
-        dims, _ = _acm.fermat_A_dims(spec, q, b, d)
-    else:
-        # f is not of the q-step shape (boundary of the hypothesis region):
-        # fall back to direct mixed-cap counting against f's exponents.
-        caps = tuple(e + 1 for e in f.exponents)
-        dims = tuple(mixed_cap_dim(caps, d - k) for k in spec.lambda_degrees)
-    coarse, refined = acm_e_bounds(spec, d, q, b)
+    caps = tuple(e + 1 for e in f.exponents)
     return ESetReport(
         monomials=tuple(out),
         count=len(out),
-        per_lambda_dims=dims,
-        bound_coarse=coarse,
-        bound_refined=refined,
+        per_lambda_dims=tuple(mixed_cap_dim(caps, d - k) for k in spec.lambda_degrees),
     )
 
 
 @dataclass(frozen=True, slots=True)
 class ZSetReport:
-    """Z_f in the capped ACM reduction, plus complement bookkeeping."""
+    """Z_f in the capped ACM reduction; `complement_count` = r-bar_d - |Z_f|."""
 
     monomials: tuple[_acm.ACMMonomial, ...]
     count: int
     complement_count: int
-    r_bar_d: int
 
 
 def acm_zero_set(spec: _acm.ACMSpec, d: int, q: int, b: int) -> ZSetReport:
@@ -369,10 +353,8 @@ def acm_zero_set(spec: _acm.ACMSpec, d: int, q: int, b: int) -> ZSetReport:
             zset.append(g)
         else:
             complement += 1
-    r_bar_d = _acm.invariants(spec, d).r_bar_d
     return ZSetReport(
         monomials=tuple(zset),
         count=len(zset),
         complement_count=complement,
-        r_bar_d=r_bar_d,
     )

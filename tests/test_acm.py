@@ -9,7 +9,6 @@ from kpq.acm import (
     ACMMonomial,
     ACMSpec,
     basis,
-    fermat_A_dims,
     hypersurface_spec,
     invariants,
     load_spec,
@@ -219,23 +218,6 @@ class TestReduceProduct:
                     assert got == []
                 else:
                     assert got == [(1, ACMMonomial(plain.exponents, 0))]
-
-
-class TestFermatADims:
-    def test_frozen_values(self):
-        dims, total = fermat_A_dims(fermat_cubic(), 3, 0, 8)
-        assert dims == (127, 100, 74)
-        assert total == 301
-
-    def test_quadric_small(self):
-        dims, total = fermat_A_dims(quadric_surface(), 1, 0, 3)
-        assert total == 3
-
-    def test_bounds_check(self):
-        with pytest.raises(ParameterError):
-            fermat_A_dims(quadric_surface(), 5, 0, 3)
-        with pytest.raises(ParameterError):
-            fermat_A_dims(quadric_surface(), 1, -1, 3)
 
 
 class TestBasis:

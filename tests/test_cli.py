@@ -65,6 +65,23 @@ class TestRangeCommand:
         assert (doc["lo"], doc["hi"]) == (4, 6)
         assert (doc["witness_lo"], doc["witness_hi"]) == (3, 10)
 
+    @pytest.mark.parametrize("fmt, ext", [("json", "json"), ("table", "txt"), ("csv", "csv")])
+    @pytest.mark.parametrize("golden, argv", [
+        ("range_n2_d7_q2", ["--n", "2", "--d", "7", "--q", "2"]),
+        ("range_n2_d5_b5_q1", ["--n", "2", "--d", "5", "--b", "5", "--q", "1"]),
+        ("range_acm_quadric_d3_q1", ["--acm", "{spec}", "--d", "3", "--q", "1"]),
+        ("range_preset_op_surface_d5", ["--preset", "op-surface-d5"]),
+        ("range_preset_fermat_cubic_p5", ["--preset", "fermat-cubic-p5"]),
+    ])
+    def test_readme_examples_match_golden(self, capsys, tmp_path, golden, argv, fmt, ext):
+        # the five range examples README shows answering, every field in every format
+        spec = tmp_path / "quadric.json"
+        save_spec(hypersurface_spec(2, 3), str(spec))
+        code, out, err = run(capsys, "range", *(a.format(spec=spec) for a in argv),
+                             "--format", fmt)
+        assert code == 0, err
+        assert out == (GOLDEN / f"{golden}.{ext}").read_text()
+
     def test_unknown_preset_exits_2(self, capsys):
         code, _, err = run(capsys, "range", "--preset", "nope")
         assert code == 2
@@ -675,10 +692,14 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, message", [
         (("betti", "--n", "1", "--d", "2", "--budget", "0"), "size budget must be positive"),
         (("range", "--n", "2", "--d", "3"), "range needs --q"),
+        (("range", "--acm", "{spec}", "--q", "1"), "range needs --d and --q with --acm"),
+        (("range", "--acm", "{spec}", "--d", "3"), "range needs --d and --q with --acm"),
+        (("range", "--acm", "{spec}", "--d", "4", "--q", "0"), "q must lie in [1, 2]"),
         (("betti", "--n", "1", "--d", "3", "--q-range", "3:1"), "--q-range has lo > hi"),
         (("betti", "--acm", "{spec}"), "betti over an ACM spec needs --d"),
         (("sweep", "--check", "ranges", "--grid", ";"), "grid ';' is empty"),
-    ], ids=["budget-0", "range-without-q", "q-range-reversed", "acm-betti-without-d",
+    ], ids=["budget-0", "range-without-q", "acm-range-without-d", "acm-range-without-q",
+            "acm-range-weight-zero", "q-range-reversed", "acm-betti-without-d",
             "grid-of-empty-clauses"])
     def test_refused_argv_exits_2(self, capsys, tmp_path, argv, message):
         spec = tmp_path / "quadric.json"

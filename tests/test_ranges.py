@@ -1,12 +1,14 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from kpq import witness
-from kpq.acm import hypersurface_spec, veronese_spec
+from kpq import acm, ranges, witness
+from kpq.acm import hypersurface_spec, save_spec, veronese_spec
 from kpq.cli import main
 from kpq.combinatorics import binom
 from kpq.errors import InadmissibleWeightError, InconsistencyError, ParameterError
+from kpq.koszul import KoszulComplex
 from kpq.ranges import (
     PQRange,
     VeroneseParams,
@@ -182,9 +184,8 @@ class TestACMRange:
 
     def test_extreme_weights(self):
         spec = hypersurface_spec(2, 3)
-        pq = acm_range(spec, 3, 0, 0)
-        assert (pq.lo, pq.hi) == (0, -2)
-        assert pq.empty
+        with pytest.raises(ParameterError, match=r"q must lie in \[1, 2\]"):
+            acm_range(spec, 3, 0, 0)
         pq = acm_range(spec, 4, 0, 2)
         assert (pq.lo, pq.hi) == (30, 17)
         pq = acm_range(spec, 10, 0, 2)
@@ -201,7 +202,7 @@ class TestACMRange:
             acm_range(spec, 8, -1, 1)
         with pytest.raises(ParameterError, match="refined lower endpoint"):
             acm_range_improved(spec, 8, 0, 2)
-        with pytest.raises(ParameterError, match="refined lower endpoint"):
+        with pytest.raises(ParameterError, match="1 <= q <= n"):
             acm_range_improved(spec, 8, 0, 0)
 
     def test_improved_never_worse(self):
@@ -235,9 +236,93 @@ class TestACMRange:
             assert rep.witness_interval.hi >= rep.pq.hi
             if rep.improved is not None:
                 assert rep.witness_interval.lo <= rep.improved.lo
-            assert rep.e_count == rep.witness_interval.lo
-            assert rep.z_count == rep.witness_interval.hi
-            assert rep.z_complement == rep.invariants.r_bar_d - rep.z_count
+            assert rep.z_complement == rep.invariants.r_bar_d - rep.witness_interval.hi
+
+    @pytest.mark.parametrize("call", [acm_range, acm_range_improved, acm_range_report])
+    def test_weight_zero_refused(self, call):
+        with pytest.raises(ParameterError, match=r"q must lie in \[1, 1\] \(ACM weights "
+                                                 r"are 1 <= q <= n\), got 0"):
+            call(hypersurface_spec(2, 2), 4, 0, 0)
+
+    @pytest.mark.parametrize("d, b, withdrawn, dims", [
+        (4, 0, PQRange(0, 1), [1, 0, 0]),
+        (5, 1, PQRange(0, 3), [3, 20, 45, 0, 0]),
+    ])
+    def test_oracle_refutes_the_withdrawn_weight_zero_interval(self, d, b, withdrawn, dims):
+        # [0, r'_d - (d-b) C(n-1+d, n-1)] was once certified at q = 0; on the
+        # conic the oracle reads 0 at its upper end
+        cx = KoszulComplex(hypersurface_spec(2, 2), d=d, b=b)
+        assert [cx.kpq_dim(p, 0) for p in range(len(dims))] == dims
+        assert cx.kpq_dim(withdrawn.hi, 0) == 0
+
+
+class TestACMContainmentAlarms:
+    """acm_range_report referees its interval against the enumerated witness
+    interval [|E_f|, |Z_f|]; a breach is an inconsistency, exit 4 on the
+    command line."""
+
+    @pytest.mark.parametrize("owner, name, fake, message", [
+        (witness, "acm_e_bounds", lambda real: lambda *args: (2, real(*args)[1]),
+         r"the lower endpoint 2 lies below \|E_f\| = 3"),
+        (witness, "acm_e_bounds", lambda real: lambda *args: (real(*args)[0], 2),
+         r"the refined lower endpoint 2 lies below \|E_f\| = 3"),
+        (acm, "invariants", lambda real: lambda spec, d: dataclasses.replace(
+            real(spec, d), r_d_prime=real(spec, d).r_d_prime + 5),
+         r"the upper endpoint 11 lies above \|Z_f\| = 10"),
+        (witness, "mixed_cap_dim", lambda real: lambda caps, k: 0,
+         r"per-Lambda dimensions \[0, 0\] do not add up to \|E_f\| = 3"),
+    ], ids=["lower-endpoint", "refined-lower-endpoint", "upper-endpoint", "per-lambda-dims"])
+    def test_breach_exits_4(self, monkeypatch, capsys, tmp_path, owner, name, fake, message):
+        spec = hypersurface_spec(2, 3)
+        path = str(tmp_path / "quadric.json")
+        save_spec(spec, path)
+        monkeypatch.setattr(owner, name, fake(getattr(owner, name)))
+        with pytest.raises(InconsistencyError, match=message):
+            acm_range_report(spec, 3, 0, 1)
+        assert main(["range", "--acm", path, "--d", "3", "--q", "1"]) == 4
+        assert capsys.readouterr().err.startswith("inconsistency: ")
+
+
+def _count_calls(monkeypatch, targets):
+    """Wrap each (module, name) so that its calls are counted under 'module.name'."""
+    counts = {}
+    for owner, name in targets:
+        key = f"{owner.__name__.rsplit('.', 1)[-1]}.{name}"
+        counts[key] = 0
+        real = getattr(owner, name)
+
+        def counted(*args, _real=real, _key=key, **kwargs):
+            counts[_key] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
+class TestOneDerivationPerReport:
+    """Each interval quantity is derived once per report; every name is
+    wrapped in the module that looks it up."""
+
+    @pytest.mark.parametrize("spec, d, b, q", [
+        (hypersurface_spec(2, 3), 3, 0, 1),
+        (hypersurface_spec(2, 3), 4, 0, 2),
+        (hypersurface_spec(3, 5), 8, 0, 3),
+    ])
+    def test_acm_report(self, monkeypatch, spec, d, b, q):
+        counts = _count_calls(monkeypatch, [
+            (ranges, "_check_acm_window"), (acm, "invariants"), (witness, "acm_e_bounds")])
+        acm_range_report(spec, d, b, q)
+        assert counts == {"ranges._check_acm_window": 1, "acm.invariants": 1,
+                          "witness.acm_e_bounds": 1}
+
+    @pytest.mark.parametrize("params", [VeroneseParams(2, 5, 0, 2), VeroneseParams(2, 2, 0, 2)],
+                             ids=["witness-monomial", "past-the-top-degree"])
+    def test_veronese_report(self, monkeypatch, params):
+        counts = _count_calls(monkeypatch, [
+            (witness, "closed_forms"), (ranges, "quot_rem_by_dm1"), (witness, "quot_rem_by_dm1")])
+        veronese_range_report(params)
+        assert counts.pop("witness.closed_forms") == 1
+        assert sum(counts.values()) == 1
 
 
 class TestAsymptotics:

@@ -224,24 +224,17 @@ class TestACMSets:
         e = acm_e_set(spec, 8, 3, 0)
         assert e.count == 301
         assert e.per_lambda_dims == (127, 100, 74)
-        assert e.bound_coarse == 540
-        assert e.bound_refined == 415
-        assert e.bounds_hold
         z = acm_zero_set(spec, 8, 3, 0)
         assert z.count == 1016
         assert z.complement_count == 14
-        assert z.r_bar_d == 1030
 
     def test_quadric_frozen(self):
         spec = hypersurface_spec(2, 3)
         e = acm_e_set(spec, 3, 1, 0)
         assert e.count == 3
         assert e.per_lambda_dims == (1, 2)
-        assert e.bound_coarse == 4
-        assert e.bound_refined == 3
-        assert e.bounds_hold
         z = acm_zero_set(spec, 3, 1, 0)
-        assert (z.count, z.complement_count, z.r_bar_d) == (10, 3, 13)
+        assert (z.count, z.complement_count) == (10, 3)
 
     def test_e_within_z(self):
         spec = hypersurface_spec(2, 3)
@@ -254,7 +247,6 @@ class TestACMSets:
         for d, q, b in [(3, 1, 0), (4, 1, 0), (4, 2, 0), (4, 1, 1)]:
             e = acm_e_set(spec, d, q, b)
             assert e.count == sum(e.per_lambda_dims)
-            assert e.bounds_hold
 
     def test_acm_certificate_with_sufficient_condition(self):
         spec = hypersurface_spec(2, 3)
