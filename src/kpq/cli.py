@@ -211,6 +211,15 @@ def _acm_range_payload(spec: _acm.ACMSpec, d: int, b: int, q: int) -> dict:
 
 def cmd_range(args: argparse.Namespace, cfg: RunConfig) -> dict:
     n, d, b, q, acm_path = args.n, args.d, args.b, args.q, args.acm
+    # a preset names the whole cell, and an ACM spec its own ring: a flag
+    # either would override is refused, not silently dropped
+    given = [flag for flag, value in (("--n", n), ("--d", d), ("--b", b), ("--q", q),
+                                      ("--acm", acm_path)) if value is not None]
+    if args.preset and given:
+        raise ParameterError(f"range --preset takes no {given[0]}")
+    if acm_path and n is not None:
+        raise ParameterError("range --acm takes no --n")
+    b = 0 if b is None else b
     acm_builtin = None
     if args.preset:
         preset = PRESETS.get(args.preset)
@@ -218,10 +227,7 @@ def cmd_range(args: argparse.Namespace, cfg: RunConfig) -> dict:
             raise ParameterError(
                 f"unknown preset {args.preset!r}; available: {', '.join(sorted(PRESETS))}"
             )
-        n = preset.get("n", n)
-        d = preset["d"]
-        b = preset["b"]
-        q = preset["q"]
+        n, d, b, q = preset.get("n"), preset["d"], preset["b"], preset["q"]
         acm_builtin = preset.get("acm_builtin")
     if acm_builtin is not None:
         e, m = acm_builtin
@@ -682,7 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="closed-form nonvanishing interval")
     p_range.add_argument("--n", type=int, default=None)
     p_range.add_argument("--d", type=int, default=None)
-    p_range.add_argument("--b", type=int, default=0)
+    p_range.add_argument("--b", type=int, default=None)
     p_range.add_argument("--q", type=int, default=None)
     p_range.add_argument("--acm", default=None, help="ACM ring spec (JSON file)")
     p_range.add_argument("--preset", default=None,

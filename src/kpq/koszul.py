@@ -30,8 +30,8 @@ counts once.
 The one chain check is in `KoszulComplex.kpq_dim`: where it first visits a
 cell whose two differentials are both nontrivial, it checks that they
 compose to zero and ranks those same matrices. How a differential is
-gathered, split and eliminated, and how the element checks read the product
-table, is told at the function that does it.
+gathered, peeled, split and eliminated, and how the element checks read the
+product table, is told at the function that does it.
 """
 
 from __future__ import annotations
@@ -67,6 +67,12 @@ _CHUNK_CELLS = 1 << 13
 # a sweep visits shares them, and each ring needs at most nb + 1.
 _WEDGE_TABLES = 32
 
+# A rank of a matrix with at least this many entries peels its weighted
+# columns in numpy (`_peel`) before the split; below it the numpy calls'
+# fixed cost is more than the whole split-first path. In-process passes over
+# the veronese-grid workload read alike from 100 to 1,000 and slower at 0
+# and 4,000; its n = 1, d <= 4 matrices hold at most 4 entries.
+_PEEL_MIN_ENTRIES = 400
 # Markowitz pivots stop once their fill bound (r-1)(c-1) exceeds this share of the live cells.
 _DENSE_FILL_SHARE = 1 / 8
 
@@ -215,18 +221,21 @@ class SparseMatrix:
 
     `ptr` has cols + 1 offsets; column c holds the rows idx[ptr[c]:ptr[c+1]],
     strictly ascending, with the residues val[ptr[c]:ptr[c+1]], each in
-    [1, p-1]. All three are plain Python lists. Nothing is cached:
-    `KoszulComplex` keeps the ranks it needs.
+    [1, p-1]. All three are int64 numpy arrays, converted here once from
+    whatever sequences they are given; the Python loops of `triplets`,
+    `_component_split`, `rank`'s split, `solve_consistent` and `apply` read
+    them as lists. Nothing is cached: `KoszulComplex` keeps the ranks it
+    needs.
     """
 
     def __init__(self, rows: int, cols: int, modulus: int,
-                 ptr: list[int], idx: list[int], val: list[int]):
+                 ptr: Sequence[int], idx: Sequence[int], val: Sequence[int]):
         self.rows = rows
         self.cols = cols
         self.modulus = modulus
-        self.ptr = ptr
-        self.idx = idx
-        self.val = val
+        self.ptr = np.asarray(ptr, dtype=np.int64)
+        self.idx = np.asarray(idx, dtype=np.int64)
+        self.val = np.asarray(val, dtype=np.int64)
 
     @classmethod
     def from_triplets(cls, rows: int, cols: int, modulus: int,
@@ -256,10 +265,10 @@ class SparseMatrix:
         return len(self.idx)
 
     def triplets(self) -> Iterable[tuple[int, int, int]]:
-        ptr = self.ptr
+        ptr, idx, val = self.ptr.tolist(), self.idx.tolist(), self.val.tolist()
         for c in range(self.cols):
             for i in range(ptr[c], ptr[c + 1]):
-                yield self.idx[i], c, self.val[i]
+                yield idx[i], c, val[i]
 
     # -- block decomposition ------------------------------------------------
 
@@ -278,7 +287,7 @@ class SparseMatrix:
         additive across blocks, and the differential's internal multigrading
         shows up here automatically.
         """
-        ptr, idx = self.ptr, self.idx
+        ptr, idx = self.ptr.tolist(), self.idx.tolist()
         columns = range(self.cols) if columns is None else list(columns)
         row_cols: dict[int, list[int]] = collections.defaultdict(list)
         for c in columns:
@@ -306,20 +315,40 @@ class SparseMatrix:
         """Rank over GF(modulus), or weight times rank summed over the blocks.
 
         `weights[c]` is how many times the rank of column c's block counts;
-        only the columns of nonzero weight are split, so only their blocks are
-        eliminated, each by `_sparse_rank_mod`; a column of weight 0 is never
-        indexed, so the blocks are those of the other columns alone. Without
-        weights each counts once. A weight must be an
-        integer >= 0, and one block's columns must all have the same weight.
+        without weights each counts once. A weight must be an integer >= 0,
+        and one block's columns must all have the same weight. Only the
+        columns of nonzero weight are read, so the blocks are those of the
+        other columns alone.
+
+        Two stages. A matrix of at least _PEEL_MIN_ENTRIES entries is first
+        peeled on the pattern of its weighted columns in numpy (`_peel`), and
+        only what that leaves goes on; a smaller one goes on whole, since the
+        numpy calls would cost more than they save. Then the split: the
+        blocks are found by `_component_split` and each is ranked by
+        `_sparse_rank_mod`.
         """
         weights = [1] * self.cols if weights is None else weights
         if len(weights) != self.cols:
             raise ParameterError(f"{len(weights)} weights for a matrix of {self.cols} columns")
         # every weight, also of a column no block holds: each distinct value once
-        for weight in set(weights):
+        distinct = set(weights)
+        for weight in distinct:
             if _as_int(weight, "rank weight") < 0:
                 raise ParameterError(f"rank weights must be >= 0, got {weight}")
-        ptr, idx, val, p = self.ptr, self.idx, self.val, self.modulus
+        # the peel sums weights in int64, and a rank is at most cols
+        if (self.nnz >= _PEEL_MIN_ENTRIES
+                and _as_int(max(distinct), "rank weight") * self.cols <= _INT64_MAX):
+            peeled = _peel(self, weights)
+            if peeled is not None:
+                rank, core, core_weights = peeled
+                return rank + core._split_rank(core_weights)
+        return self._split_rank(weights)
+
+    def _split_rank(self, weights: Sequence[int]) -> int:
+        """`rank`'s second stage, for checked weights: the blocks of the
+        columns of nonzero weight, each ranked by `_sparse_rank_mod`, and the
+        first block whose columns mix weights refused by name."""
+        ptr, idx, val, p = self.ptr.tolist(), self.idx.tolist(), self.val.tolist(), self.modulus
         total = 0
         for cols_g, rows_g in self._component_split(itertools.compress(range(self.cols), weights)):
             weight = _as_int(weights[cols_g[0]], "rank weight")
@@ -345,12 +374,13 @@ class SparseMatrix:
         b = {r: v % p for r, v in sorted(rhs.items()) if v % p}
         if not b:
             return True
-        aug = SparseMatrix(self.rows, n + 1, p, self.ptr + [self.nnz + len(b)],
-                           self.idx + list(b), self.val + list(b.values()))
+        aug = SparseMatrix(self.rows, n + 1, p, np.append(self.ptr, self.nnz + len(b)),
+                           np.append(self.idx, list(b)), np.append(self.val, list(b.values())))
         [(cols_g, rows_g)] = aug._component_split(seeds=[n])
         without = {r: [c for c in cs if c != n] for r, cs in rows_g.items()}
-        return (_sparse_rank_mod(cols_g, rows_g, aug.ptr, aug.idx, aug.val, p)
-                == _sparse_rank_mod(cols_g[1:], without, aug.ptr, aug.idx, aug.val, p))
+        ptr, idx, val = aug.ptr.tolist(), aug.idx.tolist(), aug.val.tolist()
+        return (_sparse_rank_mod(cols_g, rows_g, ptr, idx, val, p)
+                == _sparse_rank_mod(cols_g[1:], without, ptr, idx, val, p))
 
     def apply(self, vec: Mapping[int, int]) -> dict[int, int]:
         """Matrix-vector product; vec is indexed by columns."""
@@ -358,10 +388,11 @@ class SparseMatrix:
         if any(not 0 <= c < self.cols for c in vec):
             raise ParameterError(f"column index outside a {self.rows}x{self.cols} matrix")
         p = self.modulus
+        ptr, idx, val = self.ptr.tolist(), self.idx.tolist(), self.val.tolist()
         out: dict[int, int] = {}
         for c, v in vec.items():
-            a, b = self.ptr[c], self.ptr[c + 1]
-            for r, w in zip(self.idx[a:b], self.val[a:b]):
+            a, b = ptr[c], ptr[c + 1]
+            for r, w in zip(idx[a:b], val[a:b]):
                 out[r] = (out.get(r, 0) + v * w) % p
         return {r: v for r, v in out.items() if v}
 
@@ -376,8 +407,7 @@ class SparseMatrix:
         if other.modulus != self.modulus:
             raise ParameterError(f"moduli {self.modulus} and {other.modulus} differ")
         p = self.modulus
-        ptr, idx, val, mid, mid_val = (np.array(a, dtype=np.int64) for a in (
-            self.ptr, self.idx, self.val, other.idx, other.val))
+        ptr, idx, val, mid, mid_val = self.ptr, self.idx, self.val, other.idx, other.val
         lens = ptr[mid + 1] - ptr[mid]
         # the positions in idx of column m, for each entry's m in turn
         at = np.repeat(ptr[mid] - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
@@ -412,6 +442,71 @@ class SparseMatrix:
             trips.append((r, c, v))
         (rows, cols, modulus), *trips = trips
         return cls.from_triplets(rows, cols, modulus, trips)
+
+
+def _peel(mat: SparseMatrix, weights: Sequence[int]
+          ) -> tuple[int, SparseMatrix, list[int]] | None:
+    """The first stage of a large `SparseMatrix.rank`: the pattern peel of
+    the columns of nonzero weight, in numpy, for weights already checked.
+
+    Returns (rank, core, core_weights): the weighted rank the peel took, and
+    what it left as a matrix of its live rows and live columns, renumbered
+    in order, with their residues and the columns' weights. The weighted
+    rank of `mat` is rank plus that of `core`. Returns None when a row meets
+    two weights: then some block mixes them, and the split names it.
+
+    A round takes every column with one live entry, one pivot per row, then
+    every row with one live entry, one pivot per column (`_peel_side`). A
+    pivot adds its column's weight, which is its block's, and deletes its
+    row and column; no other entry changes, so no residue is read. The
+    rounds end once one of them removes less than 1/8 of the live entries:
+    on a chain that comes free one link per round they would be quadratic,
+    and the split's own peel in `_sparse_rank_mod` finishes such a chain in
+    linear time. So `core` is the 2-core, unless the rounds ended first.
+    """
+    w = np.asarray(weights, dtype=np.int64)
+    ptr, idx = mat.ptr, mat.idx
+    lens = np.diff(ptr)
+    cols = np.flatnonzero((w != 0) & (lens != 0))
+    w, lens = w[cols], lens[cols]
+    # the positions in idx of the weighted columns' entries, and their column and row numbers
+    at = np.repeat(ptr[cols] - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+    c = np.repeat(np.arange(cols.size), lens)
+    rows, r = np.unique(idx[at], return_inverse=True)
+    # the weight of a row's last column, which must be that of all its columns
+    row_w = np.zeros(rows.size, dtype=np.int64)
+    row_w[r] = w[c]
+    if (row_w[r] != w[c]).any():
+        return None
+    rank = 0
+    while r.size:
+        live = r.size
+        taken, keep = _peel_side(c, r, cols.size, row_w)
+        r, c, at = r[keep], c[keep], at[keep]
+        more, keep = _peel_side(r, c, rows.size, w)
+        r, c, at = r[keep], c[keep], at[keep]
+        rank += taken + more
+        if 8 * (live - r.size) < live:
+            break
+    starts = np.flatnonzero(np.diff(c, prepend=-1))  # c ascends: each live column's first entry
+    core_rows, r = np.unique(r, return_inverse=True)
+    core = SparseMatrix(core_rows.size, starts.size, mat.modulus, np.append(starts, c.size),
+                        r, mat.val[at])
+    return rank, core, w[c[starts]].tolist()
+
+
+def _peel_side(lines: np.ndarray, crossing: np.ndarray, n_lines: int,
+               crossing_weight: np.ndarray) -> tuple[int, np.ndarray]:
+    """Half a round of `_peel` over the live entries, entry e on line
+    lines[e] and on crossing line crossing[e]: columns and rows, or rows and
+    columns. A line with one live entry pivots there. Its crossing line is
+    taken once, however many such lines it meets, and every entry on it
+    goes, which empties those lines too. Returns the weight of the crossing
+    lines taken and the mask of the entries left."""
+    alone = np.bincount(lines, minlength=n_lines)[lines] == 1
+    taken = np.zeros(crossing_weight.size, dtype=bool)
+    taken[crossing[alone]] = True
+    return int(crossing_weight[taken].sum()), ~taken[crossing]
 
 
 def _dense_rank_mod(a: np.ndarray, p: int) -> int:
@@ -457,9 +552,12 @@ def _sparse_rank_mod(block_cols: list[int], block_rows: dict[int, list[int]],
                      ptr: list[int], idx: list[int], val: list[int], p: int) -> int:
     """Exact rank mod p of one block: its columns `block_cols`, column c with
     the residues val[ptr[c]:ptr[c+1]], each in [1, p-1], at the rows
-    idx[ptr[c]:ptr[c+1]], and its rows `block_rows`, each with its columns.
-    Every column has an entry; a row may have none (`solve_consistent` ranks
-    its block without the appended column). Neither is changed.
+    idx[ptr[c]:ptr[c+1]] (all three lists), and its rows `block_rows`, each
+    with its columns. Every column has an entry; a row may have none
+    (`solve_consistent` ranks its block without the appended column).
+    Neither is changed. Below `rank`'s size threshold a block is a whole
+    block of the matrix; above it, a block of what `_peel` left, usually
+    the 2-core, where the pattern peel below finds little or nothing.
 
     A block of one column, or of one row and at least one column, has rank 1
     and returns at once. Otherwise it is first peeled on its pattern: a
@@ -476,7 +574,7 @@ def _sparse_rank_mod(block_cols: list[int], block_rows: dict[int, list[int]],
     bound (r-1)(c-1) is above _DENSE_FILL_SHARE of the live cells, the rest
     goes to `_dense_rank_mod`. Every return calls it exactly once, on the
     shared 0x0 `_EMPTY_BLOCK` when nothing is left, so its calls count the
-    blocks.
+    blocks this function is handed: the residual blocks, on the large path.
     """
     if len(block_cols) == 1 or (len(block_rows) == 1 and block_cols):
         return 1 + _dense_rank_mod(_EMPTY_BLOCK, p)
@@ -796,7 +894,7 @@ class KoszulComplex:
         n_src, rows = self._dim(p, k), self._dim(p - 1, k + self.d)
         if n_src == 0 or rows == 0:
             # a zero map has no entries, so the entry budget does not bound its columns
-            return SparseMatrix(rows, n_src, mod, [0] * (n_src + 1), [], [])
+            return SparseMatrix(rows, n_src, mod, np.zeros(n_src + 1, dtype=np.int64), [], [])
         self._budget_check(p, k)
         if mask is not None and len(mask) != n_src:
             raise ParameterError(f"a mask of {len(mask)} entries for d_{p} of {n_src} columns")
@@ -884,7 +982,7 @@ class KoszulComplex:
     # -- the array path ------------------------------------------------------------
 
     def _columns_by_arrays(self, p: int, k: int, mask: Sequence[int] | None = None
-                           ) -> tuple[list[int], list[int], list[int]]:
+                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The columns of d_p as (ptr, idx, val), gathered from the product table
         in numpy, with `mask` as in `differential_matrix`: only the wedges that
         keep a column are taken from `_wedge_table`, and the cells of their
@@ -897,7 +995,7 @@ class KoszulComplex:
         entries ready to append. Removing different factors gives different
         sub-wedges and a product's targets are distinct, so no two entries of
         a column share a row; every residue is nonzero, and so is its negative.
-        Same lists as `_columns_by_loop`.
+        The lists of `_columns_by_loop`, as int64 arrays.
         """
         mod = self.field.modulus
         table = self._table(k)
@@ -912,8 +1010,8 @@ class KoszulComplex:
             kept = np.not_equal(mask, 0).reshape(len(combos), n_src_c)
             wedges = np.flatnonzero(kept.any(axis=1))
             combos, sub_ranks, dropped = combos[wedges], sub_ranks[wedges], ~kept[wedges]
-        idx: list[int] = []
-        val: list[int] = []
+        # each starts with an empty chunk, so that no kept wedge still concatenates
+        idx, val = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
         # position t' of the reversed wedge removes factor t = p-1-t', sign (-1)^t
         negate = np.arange(p - 1, -1, -1) % 2 == 1
         coeff_index = np.arange(n_src_c)[None, :, None]
@@ -931,12 +1029,12 @@ class KoszulComplex:
             w, j = col // n_src_c, col % n_src_c
             rows = sub_rows[w, pos] + tgt[reversed_combos[w, pos], j, slot]
             vals = cells.ravel()[flat]
-            idx += rows.tolist()
-            val += np.where(negate[pos], mod - vals, vals).tolist()
+            idx.append(rows)
+            val.append(np.where(negate[pos], mod - vals, vals))
             at = slice(w0, w0 + step) if wedges is None else wedges[w0:w0 + step]
             per_wedge[at] = np.bincount(col, minlength=cells.shape[0] * n_src_c).reshape(
                 -1, n_src_c)
-        return np.cumsum(counts).tolist(), idx, val
+        return np.cumsum(counts), np.concatenate(idx), np.concatenate(val)
 
     def differential(self, p: int, q: int) -> SparseMatrix:
         """The outgoing differential of the (p, q) middle term."""

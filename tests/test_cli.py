@@ -698,9 +698,16 @@ class TestExitCodes:
         (("betti", "--n", "1", "--d", "3", "--q-range", "3:1"), "--q-range has lo > hi"),
         (("betti", "--acm", "{spec}"), "betti over an ACM spec needs --d"),
         (("sweep", "--check", "ranges", "--grid", ";"), "grid ';' is empty"),
+        (("range", "--preset", "op-surface-d5", "--q", "1", "--d", "7"), "range --preset takes no --d"),
+        (("range", "--preset", "op-surface-d5", "--n", "2"), "range --preset takes no --n"),
+        (("range", "--preset", "op-surface-d5", "--b", "0"), "range --preset takes no --b"),
+        (("range", "--preset", "fermat-cubic-p5", "--q", "3"), "range --preset takes no --q"),
+        (("range", "--preset", "fermat-cubic-p5", "--acm", "{spec}"), "range --preset takes no --acm"),
+        (("range", "--acm", "{spec}", "--n", "2", "--d", "3", "--q", "1"), "range --acm takes no --n"),
     ], ids=["budget-0", "range-without-q", "acm-range-without-d", "acm-range-without-q",
             "acm-range-weight-zero", "q-range-reversed", "acm-betti-without-d",
-            "grid-of-empty-clauses"])
+            "grid-of-empty-clauses", "preset-with-d", "preset-with-n", "preset-with-b-0",
+            "preset-with-q", "preset-with-acm", "acm-with-n"])
     def test_refused_argv_exits_2(self, capsys, tmp_path, argv, message):
         spec = tmp_path / "quadric.json"
         save_spec(hypersurface_spec(2, 3), str(spec))

@@ -137,6 +137,11 @@ def dense_block_rank(mat, cols, rows):
     return _dense_rank_mod(block, mat.modulus)
 
 
+def lists(arrays):
+    """CSC arrays as the lists the per-column loop gathers."""
+    return tuple(a.tolist() for a in arrays)
+
+
 def plain_rank(mat):
     """Rank with every block counted once, each filled densely outside `rank()`."""
     return sum(dense_block_rank(mat, c, r) for c, r in mat._component_split())
@@ -745,8 +750,8 @@ class TestOrbitRank:
 
     @staticmethod
     def degree_rank(mat, comps):
-        return sum(koszul._sparse_rank_mod(c, r, mat.ptr, mat.idx, mat.val, mat.modulus)
-                   for c, r in comps)
+        ptr, idx, val = mat.ptr.tolist(), mat.idx.tolist(), mat.val.tolist()
+        return sum(koszul._sparse_rank_mod(c, r, ptr, idx, val, mat.modulus) for c, r in comps)
 
     @given(st.integers(1, 3), st.integers(2, 4),
            st.sampled_from([3, 5, DEFAULT_PRIME, SECONDARY_PRIME]), st.data())
@@ -799,12 +804,16 @@ class TestOrbitRank:
         assert len(orbits) < len(set(degrees))
         sorted_components = sum(list(a) == sorted(a) for a in degrees)
         slow = plain_rank(mat)
-        calls = []
-        real = koszul._dense_rank_mod
-        monkeypatch.setattr(koszul, "_dense_rank_mod",
-                            lambda block, p: calls.append(block.shape) or real(block, p))
-        assert mat.rank(cx._weights(5, 4)) == slow
-        assert len(calls) == sorted_components < len(mat._component_split())
+        weights = cx._weights(5, 4)
+        assert mat.nnz >= koszul._PEEL_MIN_ENTRIES
+        # the split-first stage alone eliminates each sorted alpha's block once
+        with dense_shapes() as shapes:
+            assert mat._split_rank(weights) == slow
+        assert len(shapes) == sorted_components < len(mat._component_split())
+        # after the numpy peel of those blocks, the kernel sees at most one residual each
+        with dense_shapes() as shapes:
+            assert mat.rank(weights) == slow
+        assert len(shapes) <= sorted_components
 
     @pytest.mark.parametrize("make", [
         lambda: KoszulComplex(TruncatedRing(3, 3)),
@@ -989,12 +998,137 @@ class TestSparseRank:
 
     @pytest.mark.parametrize("p", [5, 6])
     def test_quadric_surface_blocks_peel_fully(self, p):
-        # criterion 8: d_6 holds its 646x2565 blocks; every block of both
-        # differentials reaches the dense kernel as a 0x0 residual
+        # criterion 8: d_6 holds its 646x2565 blocks. Both differentials peel
+        # to nothing in numpy, so no block reaches the dense kernel; the
+        # split-first stage alone hands it every block as a 0x0 residual
         mat = KoszulComplex(hypersurface_spec(2, 3), d=3).differential_matrix(p, 3)
+        ones = [1] * mat.cols
         with dense_shapes() as shapes:
-            mat.rank()
+            rank = mat.rank()
+        peeled, core, _ = koszul._peel(mat, ones)
+        assert (peeled, core.rows, core.cols, shapes) == (rank, 0, 0, [])
+        with dense_shapes() as shapes:
+            assert mat._split_rank(ones) == rank
         assert shapes == [(0, 0)] * len(mat._component_split()) and len(shapes) > 1
+
+
+def chain(n, p, rng, pendant):
+    """An n x n upper-bidiagonal matrix of random nonzero residues, with
+    `pendant` one more column meeting every row, rows and columns shuffled;
+    and its transpose, unshuffled. Rank ignores both changes, and
+    `reference_rank` row-reduces that lower-bidiagonal transpose without fill."""
+    cols = n + pendant
+    entries = [(i, j, rng.randrange(1, p)) for i in range(n) for j in (i, i + 1) if j < n]
+    entries += [(i, n, rng.randrange(1, p)) for i in range(n) if pendant]
+    row_order, col_order = rng.sample(range(n), n), rng.sample(range(cols), cols)
+    mat = SparseMatrix.from_triplets(n, cols, p, [(row_order[i], col_order[j], v)
+                                                  for i, j, v in entries])
+    transposed = [[0] * n for _ in range(cols)]
+    for i, j, v in entries:
+        transposed[j][i] = v
+    return mat, transposed
+
+
+class TestNumpyPeel:
+    """`_peel`, the first stage of a large `rank`, called directly, so the
+    size threshold does not limit it. The rank it takes plus the split-first
+    rank of its core must be the split-first rank of the whole matrix, and
+    `reference_rank`'s or the dense per-block rank."""
+
+    @staticmethod
+    def two_stage(mat, weights):
+        rank, core, core_weights = koszul._peel(mat, weights)
+        # the core is renumbered, so each of its rows and columns holds an entry
+        assert len(core_weights) == core.cols and all(core_weights)
+        assert (np.diff(core.ptr) > 0).all() and set(core.idx.tolist()) == set(range(core.rows))
+        return rank + core._split_rank(core_weights)
+
+    @given(st.sampled_from(EDGE_PRIMES), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_block_diagonal_matches_referees(self, p, data):
+        # zero and nonzero block weights, and empty columns of any weight
+        rows, cols, dense = block_diagonal(data, p)
+        mat = sparse_of(rows, cols, dense, p)
+        comps = reference_components(cols, dense, range(cols))
+        weights = [0] * cols
+        for comp_cols, _ in comps:
+            w = data.draw(st.sampled_from([0, 0, 1, 2, 7]))
+            for c in comp_cols:
+                weights[c] = w
+        for c in range(cols):
+            if not any(row[c] for row in dense):
+                weights[c] = data.draw(st.integers(0, 9))
+        expected = sum(weights[comp_cols[0]] * reference_rank(
+            [[dense[r][c] for c in comp_cols] for r in comp_rows], p)
+            for comp_cols, comp_rows in comps)
+        assert self.two_stage(mat, weights) == mat._split_rank(weights) == expected
+
+    @given(st.sampled_from(EDGE_PRIMES), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_differentials_match_referees(self, prime, data):
+        # ACM differentials with every block once, capped-ring ones with their orbit weights
+        cx, k = draw_complex(data, prime)
+        nb = cx.num_generators
+        cases = [p for p in range(1, nb + 1) if 0 < cx._dim(p, k) <= 3000 and cx._nontrivial(p, k)]
+        p = data.draw(st.sampled_from(cases))
+        mat = cx.differential_matrix(p, k)
+        weights = cx._weights(p, k) if cx.algebra.multigraded else [1] * mat.cols
+        seeds = itertools.compress(range(mat.cols), weights)
+        expected = sum(weights[cols[0]] * dense_block_rank(mat, cols, rows)
+                       for cols, rows in mat._component_split(seeds))
+        assert self.two_stage(mat, weights) == mat._split_rank(weights) == expected
+
+    @given(st.sampled_from(EDGE_PRIMES), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_mixed_weights_are_refused_alike(self, p, data):
+        # 2x2 blocks of nonzero residues, enough to pass the size threshold,
+        # columns shuffled; the columns of one block get two weights
+        blocks = koszul._PEEL_MIN_ENTRIES // 4 + 1
+        rng = data.draw(st.randoms(use_true_random=False))
+        order = rng.sample(range(2 * blocks), 2 * blocks)
+        mat = SparseMatrix.from_triplets(2 * blocks, 2 * blocks, p, [
+            (2 * b + i, order[2 * b + j], rng.randrange(1, p))
+            for b in range(blocks) for i in range(2) for j in range(2)])
+        mixed = data.draw(st.integers(0, blocks - 1))
+        weights = [0] * mat.cols
+        for b in range(blocks):
+            weights[order[2 * b]] = rng.randint(1, 3)
+            weights[order[2 * b + 1]] = weights[order[2 * b]] + (b == mixed)
+        assert mat.nnz >= koszul._PEEL_MIN_ENTRIES and koszul._peel(mat, weights) is None
+        with pytest.raises(ParameterError, match="mixes weights") as split_first:
+            mat._split_rank(weights)
+        with pytest.raises(ParameterError) as default:
+            mat.rank(weights)
+        assert str(default.value) == str(split_first.value)
+        assert f"column {min(order[2 * mixed:2 * mixed + 2])}'s block" in str(default.value)
+
+    def test_weights_past_int64_skip_the_peel(self):
+        # the peel sums weights in int64; a weight that could overflow it
+        # leaves the rank to the split, in Python ints
+        mat, transposed = chain(koszul._PEEL_MIN_ENTRIES, 5, random.Random(0), False)
+        expected = reference_rank(transposed, 5)
+        for weight, peels in ((2**40, 1), (2**70, 0)):
+            called = []
+            real = koszul._peel
+            with mock.patch.object(koszul, "_peel", lambda *args: called.append(1) or real(*args)):
+                assert mat.rank([weight] * mat.cols) == weight * expected
+            assert len(called) == peels
+
+    @pytest.mark.parametrize("pendant", [False, True], ids=["bidiagonal", "dense-pendant"])
+    def test_chain_rounds_are_bounded(self, pendant):
+        # the chain comes free one link per round from each end, so the first
+        # round removes a few of its 4,000 or so entries and the rounds stop
+        # there; the split's own peel takes the rest in linear time. The
+        # pendant column leaves no singleton row at all
+        p = DEFAULT_PRIME
+        mat, transposed = chain(2000, p, random.Random(pendant), pendant)
+        expected = reference_rank(transposed, p)
+        sides = []
+        real = koszul._peel_side
+        with mock.patch.object(koszul, "_peel_side", lambda *args: sides.append(1) or real(*args)):
+            assert mat.rank() == expected
+        assert mat.nnz >= koszul._PEEL_MIN_ENTRIES and len(sides) == 2
+        assert self.two_stage(mat, [1] * mat.cols) == mat._split_rank([1] * mat.cols) == expected
 
 
 class TestArrayPath:
@@ -1005,23 +1139,25 @@ class TestArrayPath:
         loop = cx._columns_by_loop(p, k)
         arrays = cx._columns_by_arrays(p, k)
         mat = cx.differential_matrix(p, k)
-        assert arrays == loop
-        assert (mat.ptr, mat.idx, mat.val) == loop
-        assert len(mat.ptr) == mat.cols + 1 and mat.ptr[0] == 0 and mat.ptr[-1] == len(mat.idx)
+        # the arrays are int64, and as lists they are the loop's
+        assert [a.dtype for a in arrays] == [np.dtype(np.int64)] * 3 and lists(arrays) == loop
+        ptr, idx, val = lists((mat.ptr, mat.idx, mat.val))
+        assert (ptr, idx, val) == loop
+        assert len(ptr) == mat.cols + 1 and ptr[0] == 0 and ptr[-1] == len(idx)
         for c in range(mat.cols):
-            rows = mat.idx[mat.ptr[c]:mat.ptr[c + 1]]
+            rows = idx[ptr[c]:ptr[c + 1]]
             assert rows == sorted(set(rows)) and all(0 <= r < mat.rows for r in rows)
-        assert all(0 < v < prime for v in mat.val)
+        assert all(0 < v < prime for v in val)
         # the merging constructor rebuilds the same lists: nothing to merge or drop
         again = SparseMatrix.from_triplets(mat.rows, mat.cols, prime, mat.triplets())
-        assert (again.ptr, again.idx, again.val) == loop
+        assert lists((again.ptr, again.idx, again.val)) == loop
         # masked, both gathers give the whole lists with the columns of mask 0 emptied
         kept = SparseMatrix.from_triplets(mat.rows, mat.cols, prime,
                                           [(r, c, v) for r, c, v in mat.triplets() if mask[c]])
-        expected = kept.ptr, kept.idx, kept.val
-        assert cx._columns_by_loop(p, k, mask) == cx._columns_by_arrays(p, k, mask) == expected
+        expected = lists((kept.ptr, kept.idx, kept.val))
+        assert cx._columns_by_loop(p, k, mask) == lists(cx._columns_by_arrays(p, k, mask)) == expected
         masked = cx.differential_matrix(p, k, mask=mask)
-        assert (masked.rows, masked.cols, masked.ptr, masked.idx, masked.val) == (
+        assert (masked.rows, masked.cols, *lists((masked.ptr, masked.idx, masked.val))) == (
             mat.rows, mat.cols, *expected)
 
     @given(st.integers(1, 3), st.integers(2, 4),
@@ -1133,7 +1269,7 @@ class TestArrayPath:
         combos, sub_ranks = (a.copy() for a in koszul._wedge_table(nb, p))
         combos[dropped], sub_ranks[dropped] = nb, np.iinfo(sub_ranks.dtype).max
         with mock.patch.object(koszul, "_wedge_table", lambda *key: (combos, sub_ranks)):
-            assert cx._columns_by_arrays(p, k, mask) == loop
+            assert lists(cx._columns_by_arrays(p, k, mask)) == loop
 
     def test_degree_basis_has_dim_elements(self):
         # the column count comb(nb, p) * dim(k) indexes the basis of A_k
@@ -1176,23 +1312,59 @@ class TestArrayPath:
         assert 0 < len(weighted) < len(full)
         slow = plain_rank(mat)
         fresh = cx.differential_matrix(5, 4)
+        assert fresh.nnz >= koszul._PEEL_MIN_ENTRIES
         splits = []
         real = SparseMatrix._component_split
 
         def spy(matrix, columns=None, seeds=None):
             columns = list(columns)
             out = real(matrix, columns, seeds)
-            splits.append((columns, seeds, normal(out)))
+            splits.append((matrix, columns, seeds, normal(out)))
             return out
 
         monkeypatch.setattr(SparseMatrix, "_component_split", spy)
+        # the split-first stage alone indexes the weighted columns, once
+        assert fresh._split_rank(weights) == slow
+        assert [s[1:] for s in splits] == [([c for c in range(mat.cols) if weights[c]], None,
+                                            weighted)]
+        # the numpy peel reads the weighted columns alone: it peels the masked
+        # gather, whose other columns are empty, exactly as it peels `fresh`
+        masked = cx.differential_matrix(5, 4, mask=weights)
+        rank, core, core_weights = koszul._peel(fresh, weights)
+        again, masked_core, masked_weights = koszul._peel(masked, weights)
+        assert (rank, core_weights, core.rows, core.cols) == (
+            again, masked_weights, masked_core.rows, masked_core.cols)
+        assert lists((core.ptr, core.idx, core.val)) == lists(
+            (masked_core.ptr, masked_core.idx, masked_core.val))
+        # and the split then sees only what the peel left, every column of it
+        splits.clear()
         assert fresh.rank(weights) == slow
-        assert splits == [([c for c in range(mat.cols) if weights[c]], None, weighted)]
+        [(split, columns, seeds, blocks)] = splits
+        assert (split.cols, columns, seeds) == (core.cols, list(range(core.cols)), None)
+        assert core.nnz < masked.nnz
         monkeypatch.undo()
         assert normal(fresh._component_split()) == full
 
 
 class TestKpqDims:
+    def test_eagon_northcott_rational_normal_curve(self):
+        """n = 1, b = 0: the rational normal curve of degree d. Its minimal
+        free resolution is the Eagon-Northcott complex of the 2 x d matrix of
+        its quadrics, so K_{p,1} has dimension p * C(d, p + 1), and K_{p,0}
+        and K_{p,2} vanish for p >= 1 (Eisenbud, The Geometry of Syzygies,
+        GTM 229, ch. 6). A referee from outside the oracle, on both primes."""
+        peeled = []
+        real = koszul._peel
+        with mock.patch.object(koszul, "_peel", lambda *args: peeled.append(1) or real(*args)):
+            for d in range(2, 13):
+                for prime in (DEFAULT_PRIME, SECONDARY_PRIME):
+                    cx = KoszulComplex(TruncatedRing(2, d), field=prime)
+                    for p in range(1, d + 1):
+                        assert cx.kpq_dim(p, 1) == p * math.comb(d, p + 1), (d, prime, p)
+                        assert cx.kpq_dim(p, 0) == cx.kpq_dim(p, 2) == 0, (d, prime, p)
+        # the larger ranks take the numpy peel
+        assert peeled
+
     def test_twisted_cubic_rows(self):
         cx = KoszulComplex(TruncatedRing(2, 3))
         assert cx.betti_row(1, range(0, 3)) == [0, 3, 2]
