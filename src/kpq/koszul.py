@@ -30,8 +30,9 @@ counts once.
 The one chain check is in `KoszulComplex.kpq_dim`: where it first visits a
 cell whose two differentials are both nontrivial, it checks that they
 compose to zero and ranks those same matrices. How a differential is
-gathered, peeled, split and eliminated, and how the element checks read the
-product table, is told at the function that does it.
+gathered, how a rank is peeled, cut down by rounds of pivots, split and
+eliminated, and how the element checks read the product table, is told at
+the function that does it.
 """
 
 from __future__ import annotations
@@ -75,6 +76,10 @@ _WEDGE_TABLES = 32
 _PEEL_MIN_ENTRIES = 400
 # Markowitz pivots stop once their fill bound (r-1)(c-1) exceeds this share of the live cells.
 _DENSE_FILL_SHARE = 1 / 8
+# `_pivot_rounds` stops once a round removes less than this share of the live
+# entries, or would leave more than this many times the core's entries.
+_ROUNDS_PROGRESS = 1 / 32
+_ROUNDS_GROWTH = 2
 
 _INT64_MAX = 2**63 - 1
 # Largest modulus for which (p-1)^2, a product of two residues, fits in int64.
@@ -82,8 +87,10 @@ MAX_MODULUS = math.isqrt(_INT64_MAX) + 1
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# The residual `_sparse_rank_mod` hands the dense kernel when nothing is left;
-# read-only, since every early return shares it.
+# The residual `_sparse_rank_mod` hands the dense kernel when nothing is left,
+# so the kernel's calls count the blocks it is handed: on a large rank, only
+# those of what `_pivot_rounds` left. Read-only, since every early return
+# shares it.
 _EMPTY_BLOCK = np.zeros((0, 0), dtype=np.int64)
 _EMPTY_BLOCK.flags.writeable = False
 
@@ -320,12 +327,13 @@ class SparseMatrix:
         columns of nonzero weight are read, so the blocks are those of the
         other columns alone.
 
-        Two stages. A matrix of at least _PEEL_MIN_ENTRIES entries is first
-        peeled on the pattern of its weighted columns in numpy (`_peel`), and
-        only what that leaves goes on; a smaller one goes on whole, since the
-        numpy calls would cost more than they save. Then the split: the
-        blocks are found by `_component_split` and each is ranked by
-        `_sparse_rank_mod`.
+        Three stages. A matrix of at least _PEEL_MIN_ENTRIES entries is
+        first peeled on the pattern of its weighted columns (`_peel`), then
+        what that leaves is cut down by rounds of independent pivots
+        (`_pivot_rounds`), both in numpy, and only what the rounds leave goes
+        on; a smaller matrix goes on whole, since the numpy calls would cost
+        more than they save. Last the split: the blocks are found by
+        `_component_split` and each is ranked by `_sparse_rank_mod`.
         """
         weights = [1] * self.cols if weights is None else weights
         if len(weights) != self.cols:
@@ -341,7 +349,9 @@ class SparseMatrix:
             peeled = _peel(self, weights)
             if peeled is not None:
                 rank, core, core_weights = peeled
-                return rank + core._split_rank(core_weights)
+                taken, rest, rest_weights = _pivot_rounds(core, core_weights)
+                del peeled, core  # free the core's arrays before the split of the rest
+                return rank + taken + rest._split_rank(rest_weights)
         return self._split_rank(weights)
 
     def _split_rank(self, weights: Sequence[int]) -> int:
@@ -400,7 +410,9 @@ class SparseMatrix:
         """True when self @ other vanishes (the chain condition).
 
         Entry (m, c, v) of `other` meets column m of self; the products, each
-        reduced below p, are summed per (row, c) after one sort on that key.
+        reduced below p, are summed per (row, c) after one sort on that key,
+        c * rows + row. Where self.rows * other.cols would wrap in int64, the
+        rows met are numbered first, so the key is exact for every shape.
         """
         if other.rows != self.cols:
             raise ParameterError("shape mismatch in composition")
@@ -412,7 +424,12 @@ class SparseMatrix:
         # the positions in idx of column m, for each entry's m in turn
         at = np.repeat(ptr[mid] - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
         cols = np.repeat(np.repeat(np.arange(other.cols), np.diff(other.ptr)), lens)
-        key = cols * self.rows + idx[at]
+        rows, n_rows = idx[at], self.rows
+        if other.cols * n_rows > _INT64_MAX:
+            # the key would wrap in int64: number the rows met instead, no more than the terms
+            met, rows = np.unique(rows, return_inverse=True)
+            n_rows = met.size
+        key = cols * n_rows + rows
         order = np.argsort(key)
         key, terms = key[order], (np.repeat(mid_val, lens) * val[at] % p)[order]
         if key.size == 0:
@@ -462,7 +479,8 @@ def _peel(mat: SparseMatrix, weights: Sequence[int]
     rounds end once one of them removes less than 1/8 of the live entries:
     on a chain that comes free one link per round they would be quadratic,
     and the split's own peel in `_sparse_rank_mod` finishes such a chain in
-    linear time. So `core` is the 2-core, unless the rounds ended first.
+    linear time. So `core` is the 2-core, unless the rounds ended first;
+    what that leaves goes on to `_pivot_rounds`.
     """
     w = np.asarray(weights, dtype=np.int64)
     ptr, idx = mat.ptr, mat.idx
@@ -488,11 +506,18 @@ def _peel(mat: SparseMatrix, weights: Sequence[int]
         rank += taken + more
         if 8 * (live - r.size) < live:
             break
+    return (rank, *_renumbered(r, c, mat.val[at], mat.modulus, w))
+
+
+def _renumbered(r: np.ndarray, c: np.ndarray, v: np.ndarray, modulus: int,
+                w: np.ndarray) -> tuple[SparseMatrix, list[int]]:
+    """The live entries (r, c, v), sorted by column then row, as a matrix of
+    their rows and columns renumbered in order, and the weights of its
+    columns, read from `w` in c's numbering."""
     starts = np.flatnonzero(np.diff(c, prepend=-1))  # c ascends: each live column's first entry
-    core_rows, r = np.unique(r, return_inverse=True)
-    core = SparseMatrix(core_rows.size, starts.size, mat.modulus, np.append(starts, c.size),
-                        r, mat.val[at])
-    return rank, core, w[c[starts]].tolist()
+    rows, r = np.unique(r, return_inverse=True)
+    return (SparseMatrix(rows.size, starts.size, modulus, np.append(starts, c.size), r, v),
+            w[c[starts]].tolist())
 
 
 def _peel_side(lines: np.ndarray, crossing: np.ndarray, n_lines: int,
@@ -507,6 +532,111 @@ def _peel_side(lines: np.ndarray, crossing: np.ndarray, n_lines: int,
     taken = np.zeros(crossing_weight.size, dtype=bool)
     taken[crossing[alone]] = True
     return int(crossing_weight[taken].sum()), ~taken[crossing]
+
+
+def _pivot_rounds(core: SparseMatrix, core_weights: Sequence[int]
+                  ) -> tuple[int, SparseMatrix, list[int]]:
+    """The second stage of a large `SparseMatrix.rank`: rounds of
+    independent pivots in numpy, on the core `_peel` returns, all of whose
+    columns have a nonzero weight.
+
+    Returns (rank, rest, rest_weights): the weighted rank the rounds took,
+    and what they left, renumbered as `_peel` renumbers its core. The
+    weighted rank of `core` is rank plus that of `rest`.
+
+    The live entries are kept as int64 (row, column, residue) arrays sorted
+    by (column, row). Each round (`_pivot_round`) takes pivots whose rows and
+    columns meet in a diagonal block, adds their columns' weights, and leaves
+    the Schur complement. The rounds need no block split: independence is
+    global, and a pivot's fill stays in its own block, on which the weight
+    is constant. They stop once a round would add more entries than are live
+    or leave more than _ROUNDS_GROWTH times the core's (that round is not
+    taken), or once one removes less than _ROUNDS_PROGRESS of the live
+    entries: a chain in column order comes free a pivot or two per round,
+    and would be quadratic.
+    """
+    p, rows, cols = core.modulus, core.rows, core.cols
+    w = np.asarray(core_weights, dtype=np.int64)
+    r, c, v = core.idx, np.repeat(np.arange(cols), np.diff(core.ptr)), core.val
+    cap, rank = _ROUNDS_GROWTH * r.size, 0
+    while r.size:
+        live = r.size
+        step = _pivot_round(r, c, v, rows, cols, p, w)
+        if step is None or step[1].size > cap:
+            break
+        taken, r, c, v = step
+        rank += taken
+        if live - r.size < _ROUNDS_PROGRESS * live:
+            break
+    return (rank, *_renumbered(r, c, v, p, w))
+
+
+def _pivot_round(r: np.ndarray, c: np.ndarray, v: np.ndarray, rows: int, cols: int, p: int,
+                 w: np.ndarray) -> tuple[int, np.ndarray, np.ndarray, np.ndarray] | None:
+    """One round of `_pivot_rounds` over the live entries, entry e at row
+    r[e] < rows and column c[e] < cols with residue v[e], sorted by (c, r).
+    Returns None when its fill would be more entries than are live; else
+    the weight `w` of its pivot columns and the entries left, sorted alike.
+
+    Each column's candidate is its first entry of least Markowitz score
+    (r-1)(c-1), and each row keeps its candidate of least priority, score
+    times cols plus column: distinct, since a column has one candidate.
+    Candidates i and j conflict when an entry lies in i's row and j's
+    column, and of the two only the one of lower priority may stay (one
+    Luby step), so the pivots meet in a diagonal block; the one of least
+    priority always stays. Pivot (r_k, c_k) of residue a adds -x * y / a
+    at (i, j) for each entry x at (i, c_k) and y at (r_k, j), and the sums
+    are reduced mod p after one sort on the key c * rows + r. That key fits
+    in int64 because the core is renumbered, so rows * cols is at most its
+    entries squared; a sum adds at most one live residue and one per pivot.
+    """
+    n = r.size
+    n_r, n_c = np.bincount(r, minlength=rows), np.bincount(c, minlength=cols)
+    lens = n_c[n_c > 0]
+    # a score too large for score * n + position, or for the priority, is clipped
+    score = np.minimum((n_r[r] - 1) * (n_c[c] - 1), _INT64_MAX // (n + cols) - 1)
+    at = np.minimum.reduceat(score * n + np.arange(n), np.cumsum(lens) - lens) % n
+    pri = score[at] * cols + c[at]
+    best = np.full(rows, _INT64_MAX)
+    np.minimum.at(best, r[at], pri)
+    kept = pri == best[r[at]]
+    at, pri = at[kept], pri[kept]
+    by_row, by_col = np.full(rows, -1), np.full(cols, -1)
+    by_row[r[at]] = by_col[c[at]] = np.arange(at.size)
+    i, j = by_row[r], by_col[c]
+    clash = (i >= 0) & (j >= 0) & (i != j)
+    i, j = i[clash], j[clash]
+    lost = np.zeros(at.size, dtype=bool)
+    lost[np.where(pri[i] < pri[j], j, i)] = True
+    at = at[~lost]
+    piv_r, piv_c = r[at], c[at]
+    n_row = n_r[piv_r] - 1  # a pivot row's other entries, none of them in a pivot column
+    fill = int(((n_c[piv_c] - 1) * n_row).sum())
+    if fill > n:
+        return None
+    by_row[:], by_col[:] = -1, -1
+    by_row[piv_r] = by_col[piv_c] = np.arange(at.size)  # pivot k, in column order
+    in_r, in_c = by_row[r] >= 0, by_col[c] >= 0
+    down = (in_c & ~in_r).nonzero()[0]  # in pivot columns, grouped by pivot as c ascends
+    across = (in_r & ~in_c).nonzero()[0]
+    across = across[np.argsort(by_row[r[across]], kind="stable")]
+    k = by_col[c[down]]
+    lens = n_row[k]
+    # for each entry of `down`, the positions in `across` of its pivot's row
+    first = np.cumsum(n_row) - n_row
+    pos = across[np.repeat(first[k] - np.cumsum(lens) + lens, lens) + np.arange(fill)]
+    neg_inv = np.array([p - pow(a, -1, p) for a in v[at].tolist()], dtype=np.int64)
+    keep = ~(in_r | in_c)
+    key = np.concatenate((c[keep] * rows + r[keep], c[pos] * rows + np.repeat(r[down], lens)))
+    val = np.concatenate((v[keep], np.repeat(v[down] * neg_inv[k] % p, lens) * v[pos] % p))
+    if key.size:
+        order = np.argsort(key, kind="stable")
+        key, val = key[order], val[order]
+        starts = np.concatenate(([True], key[1:] != key[:-1])).nonzero()[0]
+        key, val = key[starts], np.add.reduceat(val, starts) % p
+        nonzero = val != 0
+        key, val = key[nonzero], val[nonzero]
+    return int(w[piv_c].sum()), key % rows, key // rows, val
 
 
 def _dense_rank_mod(a: np.ndarray, p: int) -> int:
@@ -556,8 +686,9 @@ def _sparse_rank_mod(block_cols: list[int], block_rows: dict[int, list[int]],
     with its columns. Every column has an entry; a row may have none
     (`solve_consistent` ranks its block without the appended column).
     Neither is changed. Below `rank`'s size threshold a block is a whole
-    block of the matrix; above it, a block of what `_peel` left, usually
-    the 2-core, where the pattern peel below finds little or nothing.
+    block of the matrix; above it, a block of what `_peel` and then
+    `_pivot_rounds` left, where the pattern peel below finds little unless
+    a chain came free too slowly for the rounds.
 
     A block of one column, or of one row and at least one column, has rank 1
     and returns at once. Otherwise it is first peeled on its pattern: a
@@ -574,7 +705,8 @@ def _sparse_rank_mod(block_cols: list[int], block_rows: dict[int, list[int]],
     bound (r-1)(c-1) is above _DENSE_FILL_SHARE of the live cells, the rest
     goes to `_dense_rank_mod`. Every return calls it exactly once, on the
     shared 0x0 `_EMPTY_BLOCK` when nothing is left, so its calls count the
-    blocks this function is handed: the residual blocks, on the large path.
+    blocks this function is handed: on the large path, the blocks of what
+    the rounds left.
     """
     if len(block_cols) == 1 or (len(block_rows) == 1 and block_cols):
         return 1 + _dense_rank_mod(_EMPTY_BLOCK, p)

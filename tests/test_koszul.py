@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from kpq.acm import ACMMonomial, hypersurface_spec
 from kpq.combinatorics import Monomial, TruncatedRing, enumerate_monomials
@@ -82,17 +82,19 @@ def alpha(cx, p, k, c):
     return tuple(map(sum, zip(*exps)))
 
 
-def block_diagonal(data, p):
+def block_diagonal(data, p, entries=None):
     """(rows, cols, dense): random integer blocks on the diagonal, rows and
     columns then shuffled. A block with no rows gives empty columns, one with
-    no columns gives rows that no column touches."""
+    no columns gives rows that no column touches. `entries` draws an entry,
+    by default 0, a small integer or a residue."""
     shapes = data.draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
                                 min_size=1, max_size=4))
     rows, cols = sum(h for h, _ in shapes), sum(w for _, w in shapes)
     dense = [[0] * cols for _ in range(rows)]
+    if entries is None:
+        entries = st.one_of(st.just(0), st.integers(-4, 4), st.integers(1, p - 1))
     r0 = c0 = 0
     for h, w in shapes:
-        entries = st.one_of(st.just(0), st.integers(-4, 4), st.integers(1, p - 1))
         block = data.draw(st.lists(st.lists(entries, min_size=w, max_size=w),
                                    min_size=h, max_size=h))
         for i, row in enumerate(block):
@@ -473,6 +475,20 @@ class TestSparseMatrix:
         assert not a.compose_is_zero(c)
         with pytest.raises(ParameterError):
             a.compose_is_zero(a)
+
+    def test_compose_is_exact_past_int64_rows(self):
+        # rows * cols beyond 2^64 once wrapped the (column, row) sort key, so
+        # two nonzero entries of the product summed to zero
+        p = DEFAULT_PRIME
+        a = SparseMatrix.from_triplets(2**62, 1, p, [(0, 0, 1)])
+        b = SparseMatrix.from_triplets(1, 5, p, [(0, 0, 1), (0, 4, p - 1)])
+        assert not a.compose_is_zero(b)
+        # and a product that does vanish on such rows still reads zero
+        tall = SparseMatrix.from_triplets(2**62, 2, p, [(r, j, (-1) ** j) for r in (0, 2**62 - 1)
+                                                        for j in range(2)])
+        ones = SparseMatrix.from_triplets(2, 5, p, [(i, j, 1) for i in range(2) for j in (0, 4)])
+        assert tall.compose_is_zero(ones)
+        assert not tall.compose_is_zero(SparseMatrix.from_triplets(2, 5, p, [(0, 4, 1)]))
 
     def test_compose_refuses_mixed_moduli(self):
         a = SparseMatrix.from_triplets(1, 2, 7, [(0, 0, 1), (0, 1, 6)])
@@ -1012,18 +1028,28 @@ class TestSparseRank:
         assert shapes == [(0, 0)] * len(mat._component_split()) and len(shapes) > 1
 
 
-def chain(n, p, rng, pendant):
-    """An n x n upper-bidiagonal matrix of random nonzero residues, with
-    `pendant` one more column meeting every row, rows and columns shuffled;
-    and its transpose, unshuffled. Rank ignores both changes, and
-    `reference_rank` row-reduces that lower-bidiagonal transpose without fill."""
+def chain_matrix(n, p, rng, pendant, shuffle=True):
+    """(mat, entries): an n x n upper-bidiagonal matrix of random nonzero
+    residues, with `pendant` one more column meeting every row, rows and
+    columns shuffled unless `shuffle` is false; and its (row, column,
+    residue) entries before the shuffle. It has rank n."""
     cols = n + pendant
     entries = [(i, j, rng.randrange(1, p)) for i in range(n) for j in (i, i + 1) if j < n]
     entries += [(i, n, rng.randrange(1, p)) for i in range(n) if pendant]
-    row_order, col_order = rng.sample(range(n), n), rng.sample(range(cols), cols)
+    row_order, col_order = list(range(n)), list(range(cols))
+    if shuffle:
+        row_order, col_order = rng.sample(row_order, n), rng.sample(col_order, cols)
     mat = SparseMatrix.from_triplets(n, cols, p, [(row_order[i], col_order[j], v)
                                                   for i, j, v in entries])
-    transposed = [[0] * n for _ in range(cols)]
+    return mat, entries
+
+
+def chain(n, p, rng, pendant):
+    """`chain_matrix`, shuffled, and its transpose, unshuffled and dense.
+    Rank ignores both changes, and `reference_rank` row-reduces that
+    lower-bidiagonal transpose without fill."""
+    mat, entries = chain_matrix(n, p, rng, pendant)
+    transposed = [[0] * n for _ in range(mat.cols)]
     for i, j, v in entries:
         transposed[j][i] = v
     return mat, transposed
@@ -1032,8 +1058,9 @@ def chain(n, p, rng, pendant):
 class TestNumpyPeel:
     """`_peel`, the first stage of a large `rank`, called directly, so the
     size threshold does not limit it. The rank it takes plus the split-first
-    rank of its core must be the split-first rank of the whole matrix, and
-    `reference_rank`'s or the dense per-block rank."""
+    rank of its core, and plus the pivot rounds' rank of its core, must be
+    the split-first rank of the whole matrix, and `reference_rank`'s or the
+    dense per-block rank."""
 
     @staticmethod
     def two_stage(mat, weights):
@@ -1041,7 +1068,11 @@ class TestNumpyPeel:
         # the core is renumbered, so each of its rows and columns holds an entry
         assert len(core_weights) == core.cols and all(core_weights)
         assert (np.diff(core.ptr) > 0).all() and set(core.idx.tolist()) == set(range(core.rows))
-        return rank + core._split_rank(core_weights)
+        split = rank + core._split_rank(core_weights)
+        # the pivot rounds, `rank`'s own next stage, and the split of their rest
+        taken, rest, rest_weights = koszul._pivot_rounds(core, core_weights)
+        assert rank + taken + rest._split_rank(rest_weights) == split
+        return split
 
     @given(st.sampled_from(EDGE_PRIMES), st.data())
     @settings(max_examples=150, deadline=None)
@@ -1129,6 +1160,106 @@ class TestNumpyPeel:
             assert mat.rank() == expected
         assert mat.nnz >= koszul._PEEL_MIN_ENTRIES and len(sides) == 2
         assert self.two_stage(mat, [1] * mat.cols) == mat._split_rank([1] * mat.cols) == expected
+
+
+class TestPivotRounds:
+    """`_pivot_rounds`, the second stage of a large `rank`, called directly
+    on a matrix and its weights, so neither the size threshold nor the peel
+    stands before it. The rank it takes plus the split-first rank of its
+    rest must be `_split_rank`'s and `reference_rank`'s."""
+
+    @staticmethod
+    def rounds(mat, weights):
+        """(rank, outcomes, rest): the weighted rank of the rounds and the
+        split of their rest, what each round returned (None, or the count
+        of entries it left), and the rest."""
+        outcomes = []
+        real = koszul._pivot_round
+
+        def one_round(*args):
+            out = real(*args)
+            outcomes.append(None if out is None else out[1].size)
+            return out
+
+        with mock.patch.object(koszul, "_pivot_round", one_round):
+            taken, rest, rest_weights = koszul._pivot_rounds(mat, weights)
+        # the rest is renumbered, so each of its rows and columns holds an entry
+        assert len(rest_weights) == rest.cols and all(rest_weights)
+        assert (np.diff(rest.ptr) > 0).all() and set(rest.idx.tolist()) == set(range(rest.rows))
+        return taken + rest._split_rank(rest_weights), outcomes, rest
+
+    @pytest.mark.parametrize("tall", [True, False], ids=["rows>cols", "cols>rows"])
+    @given(st.sampled_from(EDGE_PRIMES), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_block_diagonal_matches_referees(self, tall, p, data):
+        # residues p - 1 in a third of the entries, so that the products are
+        # the largest possible and equal columns cancel; zero and nonzero
+        # block weights. With more columns than rows, a priority of score *
+        # rows + column once let two conflicting pivots through
+        entries = st.one_of(st.just(p - 1), st.just(0), st.integers(1, p - 1))
+        rows, cols, dense = block_diagonal(data, p, entries)
+        assume(rows != cols)
+        if (rows > cols) != tall:
+            rows, cols, dense = cols, rows, [list(col) for col in zip(*dense)]
+        mat = sparse_of(rows, cols, dense, p)
+        comps = reference_components(cols, dense, range(cols))
+        weights = [0] * cols
+        for comp_cols, _ in comps:
+            w = data.draw(st.sampled_from([0, 1, 2, 7]))
+            for c in comp_cols:
+                weights[c] = w
+        expected = sum(weights[comp_cols[0]] * reference_rank(
+            [[dense[r][c] for c in comp_cols] for r in comp_rows], p)
+            for comp_cols, comp_rows in comps)
+        assert self.rounds(mat, weights)[0] == mat._split_rank(weights) == expected
+
+    @pytest.mark.parametrize("n", [2000, 8000])
+    @pytest.mark.parametrize("shuffle", [False, True], ids=["column-order", "shuffled"])
+    def test_chain_rounds_are_bounded(self, n, shuffle):
+        # in column order each candidate conflicts with its neighbours and
+        # only the least priorities stay, a pivot or two per round: the
+        # first round removes less than _ROUNDS_PROGRESS of the entries and
+        # the split's linear peel takes the rest. Shuffled, a round removes
+        # a share of what is live, so the rounds grow with log n
+        p = DEFAULT_PRIME
+        mat, _ = chain_matrix(n, p, random.Random(n), False, shuffle)
+        rank, outcomes, _ = self.rounds(mat, [1] * n)
+        assert rank == n == mat._split_rank([1] * n)
+        assert len(outcomes) <= (2 * math.ceil(math.log2(n)) if shuffle else 1)
+        assert None not in outcomes
+
+    @pytest.mark.parametrize("p", [3, DEFAULT_PRIME, LARGEST_PRIME])
+    def test_bordered_block_trips_the_fill_rule(self, p):
+        # k diagonal entries bordered by a dense k x b and b x k: the diagonal
+        # are the candidates of least score and none conflict, but their fill
+        # is k * b * b entries, more than the k + 2kb live. So the round is
+        # not taken, and the rest is the whole block
+        k, b = 10, 4
+        rng = random.Random(p)
+        dense = [[0] * (k + b) for _ in range(k + b)]
+        for i in range(k):
+            dense[i][i] = rng.randrange(1, p)
+            for j in range(k, k + b):
+                dense[i][j], dense[j][i] = rng.randrange(1, p), rng.randrange(1, p)
+        mat = sparse_of(k + b, k + b, dense, p)
+        rank, outcomes, rest = self.rounds(mat, [3] * mat.cols)
+        assert rank == 3 * reference_rank(dense, p) == mat._split_rank([3] * mat.cols)
+        assert outcomes == [None]
+        assert (rest.rows, rest.cols, rest.nnz) == (mat.rows, mat.cols, mat.nnz)
+
+    def test_a_round_past_the_growth_cap_is_not_taken(self):
+        # with one border row and column the k pivots' fill sums into one
+        # entry, and the round is taken (the next takes that entry); with no
+        # room to grow at all it is not, and the rest is the whole block
+        k, p = 10, DEFAULT_PRIME
+        trips = [(i, i, 1) for i in range(k)] + [(i, k, 1) for i in range(k)]
+        mat = SparseMatrix.from_triplets(k + 1, k + 1, p, trips + [(k, i, 1) for i in range(k)])
+        rank, outcomes, rest = self.rounds(mat, [1] * mat.cols)
+        assert (rank, outcomes, rest.nnz) == (k + 1, [1, 0], 0)
+        with mock.patch.object(koszul, "_ROUNDS_GROWTH", 0):
+            rank, outcomes, rest = self.rounds(mat, [1] * mat.cols)
+        assert (rank, outcomes) == (k + 1, [1])
+        assert (rest.rows, rest.cols, rest.nnz) == (mat.rows, mat.cols, mat.nnz)
 
 
 class TestArrayPath:
@@ -1336,11 +1467,19 @@ class TestArrayPath:
             again, masked_weights, masked_core.rows, masked_core.cols)
         assert lists((core.ptr, core.idx, core.val)) == lists(
             (masked_core.ptr, masked_core.idx, masked_core.val))
-        # and the split then sees only what the peel left, every column of it
+        # and the pivot rounds then get what the peel left, whole; the split,
+        # once, sees only what they leave, every column of it
+        handed = []
+        real_rounds = koszul._pivot_rounds
+        monkeypatch.setattr(koszul, "_pivot_rounds",
+                            lambda m, w: handed.append((m, w)) or real_rounds(m, w))
         splits.clear()
         assert fresh.rank(weights) == slow
-        [(split, columns, seeds, blocks)] = splits
-        assert (split.cols, columns, seeds) == (core.cols, list(range(core.cols)), None)
+        [(whole, whole_weights)] = handed
+        assert (whole.rows, whole.cols, whole_weights) == (core.rows, core.cols, core_weights)
+        assert lists((whole.ptr, whole.idx, whole.val)) == lists((core.ptr, core.idx, core.val))
+        [(split, columns, seeds, _)] = splits
+        assert split.nnz <= core.nnz and (columns, seeds) == (list(range(split.cols)), None)
         assert core.nnz < masked.nnz
         monkeypatch.undo()
         assert normal(fresh._component_split()) == full
